@@ -9,17 +9,18 @@
 //!
 //! `--smoke` runs the CI gate:
 //!
-//! * **byte-identical merge (always enforced)** — fanning the
-//!   manifest's chunks over two shard processes and merging the chunk
-//!   reports must reproduce the serial run's CSV and JSONL byte for
+//! * **byte-identical merge (always enforced)** — streaming the
+//!   manifest's chunks from two shard processes and merging the chunk
+//!   frames must reproduce the serial run's CSV and JSONL byte for
 //!   byte, for every shard assignment the round-robin produces;
 //! * **coverage verification (always enforced)** — the reducer must
 //!   reject a dropped chunk and a duplicated chunk with the named
 //!   structured errors;
-//! * **warm transfer (always enforced)** — a shard seeded with a
-//!   [`socbuf_core::BasisSnapshot`] exported from a warm peer must
-//!   solve its first chunk with measurably fewer simplex pivots than
-//!   the same chunk cold (and identical semantic bytes);
+//! * **warm transfer (always enforced)** — a cold shard seeded with a
+//!   [`socbuf_core::BasisSnapshot`] exported from a peer must answer
+//!   its first `size` at the exporting budget warm, with measurably
+//!   fewer simplex pivots than the peer's cold solve, and with the
+//!   cold pipeline's bytes;
 //! * **fan-out wall time (enforced when the host has ≥ 2 cores)** —
 //!   best-of-repeats: two shards must finish the campaign faster than
 //!   one shard over the same sockets. Skipped on single-core hosts,
@@ -30,11 +31,14 @@ use std::net::SocketAddr;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use socbuf_core::wire::CampaignManifest;
-use socbuf_core::SizingConfig;
+use socbuf_core::wire::{sizing_outcome_semantic_json, CampaignManifest};
+use socbuf_core::{size_buffers, SizingConfig};
 use socbuf_serve::{Client, RetryPolicy, ShardFleet};
 use socbuf_soc::templates;
-use socbuf_sweep::{merge_chunk_reports, run_manifest, BudgetSweep, MergeError, WorkPool};
+use socbuf_sweep::{
+    merge_chunk_reports, run_manifest, BudgetSweep, MergeError, SweepKind, SweepReport, VecSink,
+    WorkPool,
+};
 
 /// Heavy enough per point that warm-chain and seeding effects are
 /// measurable, light enough for CI (same scale as `serve_probe`).
@@ -51,6 +55,9 @@ fn smoke_sizing() -> SizingConfig {
 fn smoke_budgets() -> Vec<usize> {
     vec![200, 216, 232, 248, 264, 280, 296, 312, 328, 344]
 }
+
+/// The budget the warm-transfer gate exports a basis at and re-sizes.
+const TRANSFER_BUDGET: usize = 320;
 
 /// One self-exec'd shard-server process. Dropping it closes the
 /// worker's stdin, which is its shutdown signal.
@@ -110,23 +117,22 @@ impl Drop for ShardProcess {
 
 /// Times one whole-campaign fan-out over `shards` (chunks round-robin,
 /// merge included).
-fn timed_fanout(
-    manifest: &CampaignManifest,
-    shards: &[&ShardProcess],
-) -> (socbuf_sweep::SweepReport, Duration) {
+fn timed_fanout(manifest: &CampaignManifest, shards: &[&ShardProcess]) -> (SweepReport, Duration) {
     let mut fleet = ShardFleet::new(
         shards.iter().map(|s| s.client()).collect(),
         RetryPolicy::default(),
     );
     let t = Instant::now();
-    let reports = fleet.run_manifest(manifest, false).unwrap_or_else(|e| {
-        eprintln!("fan-out failed: {e}");
-        std::process::exit(2);
-    });
-    let merged = merge_chunk_reports(manifest, &reports).unwrap_or_else(|e| {
-        eprintln!("merge failed: {e}");
-        std::process::exit(2);
-    });
+    let (sink, _) = fleet
+        .run_manifest_to_sink(manifest, VecSink::new())
+        .unwrap_or_else(|e| {
+            eprintln!("fan-out failed: {e}");
+            std::process::exit(2);
+        });
+    let merged = SweepReport {
+        kind: SweepKind::Budget,
+        points: sink.into_points(),
+    };
     (merged, t.elapsed())
 }
 
@@ -165,9 +171,13 @@ fn smoke() -> i32 {
 
     // --- Coverage verification: dropped and duplicated chunks. ---------
     let mut client_b = shard_b.client();
-    let reports: Vec<_> = (0..manifest.chunks.len())
-        .map(|c| client_b.sweep_chunk(&manifest, c, false).unwrap().report)
-        .collect();
+    let mut reports = Vec::new();
+    client_b
+        .sweep_stream(&manifest, None, |reply| {
+            reports.push(reply.report);
+            Ok(())
+        })
+        .unwrap();
     match merge_chunk_reports(&manifest, &reports[..reports.len() - 1]) {
         Err(MergeError::MissingChunk { .. }) => {}
         other => {
@@ -185,35 +195,39 @@ fn smoke() -> i32 {
         }
     }
 
-    // --- Warm transfer: snapshot-seeded chunk beats cold on pivots. ----
-    // Shard B's cache is still empty (chunk execution is cache-free),
-    // so its cold chunk-0 pivots are a clean baseline.
-    let cold = client_b.sweep_chunk(&manifest, 0, true).unwrap();
+    // --- Warm transfer: a snapshot-seeded size beats cold on pivots. ---
+    // Both shards' caches are still empty (streamed chunks run through
+    // the plan, not the cache), so shard A's first size is a clean cold
+    // baseline and shard B's first size starts from the import alone.
+    let budget = TRANSFER_BUDGET;
+    let mut client_a = shard_a.client();
+    let cold = client_a.size(&arch, &config, budget).unwrap();
     if cold.trace.warm {
-        eprintln!("SMOKE FAIL: empty-cache shard reported a seeded (warm) chunk");
+        eprintln!("SMOKE FAIL: empty-cache shard answered its first size warm");
         failures += 1;
     }
-    // Warm shard A with a size query at the campaign's first budget,
-    // then ship its basis to B.
-    let mut client_a = shard_a.client();
-    client_a.size(&arch, &config, smoke_budgets()[0]).unwrap();
     let snapshot = client_a.snapshot_export(&arch, &config).unwrap();
     client_b.snapshot_import(&arch, &config, &snapshot).unwrap();
-    let seeded = client_b.sweep_chunk(&manifest, 0, true).unwrap();
+    let seeded = client_b.size(&arch, &config, budget).unwrap();
     if !seeded.trace.warm {
-        eprintln!("SMOKE FAIL: imported snapshot did not seed the chunk");
+        eprintln!("SMOKE FAIL: imported snapshot did not seed the first size");
         failures += 1;
     }
     if seeded.trace.pivots >= cold.trace.pivots {
         eprintln!(
-            "SMOKE FAIL: seeded chunk spent {} pivots, cold spent {} — warm transfer \
+            "SMOKE FAIL: seeded size spent {} pivots, cold spent {} — warm transfer \
              must measurably reduce pivots",
             seeded.trace.pivots, cold.trace.pivots
         );
         failures += 1;
     }
+    let want = sizing_outcome_semantic_json(&size_buffers(&arch, budget, &config).unwrap());
+    if seeded.result_json != want {
+        eprintln!("SMOKE FAIL: seeded size bytes differ from the cold pipeline");
+        failures += 1;
+    }
     println!(
-        "chunk 0 pivots: cold {} -> snapshot-seeded {}",
+        "size @ {budget} pivots: cold {} -> snapshot-seeded {}",
         cold.trace.pivots, seeded.trace.pivots
     );
 

@@ -1924,274 +1924,6 @@ impl ChunkReport {
     }
 }
 
-/// Incremental twin of [`ChunkReport::to_jsonl`]: emits the report's
-/// lines one at a time — header first, then one point per call — so a
-/// shard can stream a chunk onto a socket or into a file as points are
-/// produced, without ever materializing the whole report string. The
-/// concatenation of the emitted lines is byte-identical to
-/// `to_jsonl()` on the assembled report.
-///
-/// The writer enforces the same invariants [`ChunkReport::from_jsonl`]
-/// checks on arrival (kind tag, non-empty range, in-order indices, no
-/// `frontier` field, exact point count), so a completed emission is
-/// always parseable.
-pub struct ChunkJsonlWriter {
-    header: ChunkReport,
-    written: usize,
-}
-
-impl ChunkJsonlWriter {
-    /// A writer for one chunk's identity. Validates what can be
-    /// validated up front.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Schema`] for an unknown kind tag or an empty
-    /// range.
-    pub fn new(
-        config_hash: u64,
-        kind: &str,
-        chunk: usize,
-        start: usize,
-        end: usize,
-    ) -> Result<ChunkJsonlWriter, WireError> {
-        if !matches!(kind, "budget" | "load" | "random") {
-            return Err(WireError::Schema(format!(
-                "chunk report: unknown kind \"{kind}\""
-            )));
-        }
-        if end <= start {
-            return Err(WireError::Schema(format!(
-                "chunk report: empty range {start}..{end}"
-            )));
-        }
-        Ok(ChunkJsonlWriter {
-            header: ChunkReport {
-                config_hash,
-                kind: kind.to_string(),
-                chunk,
-                start,
-                end,
-                points: Vec::new(),
-            },
-            written: 0,
-        })
-    }
-
-    /// The header line (newline-terminated). Emit exactly once, before
-    /// any point line.
-    pub fn header_line(&self) -> String {
-        let mut out = self.header.header_json();
-        out.push('\n');
-        out
-    }
-
-    /// Renders the next point's line (newline-terminated). Points must
-    /// arrive in item order.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Schema`] when the chunk is already full, the
-    /// point's `index` is not the next item index, or the point
-    /// carries a `frontier` field.
-    pub fn point_line(&mut self, point: &JsonValue) -> Result<String, WireError> {
-        let need = self.header.end - self.header.start;
-        if self.written == need {
-            return Err(WireError::Schema(format!(
-                "chunk report: range {}..{} needs {} points, got {}",
-                self.header.start,
-                self.header.end,
-                need,
-                need + 1
-            )));
-        }
-        let what = format!("points[{}]", self.written);
-        let index = field(point, &what, "index")?.usize("index")?;
-        if index != self.header.start + self.written {
-            return Err(WireError::Schema(format!(
-                "chunk report: {what} has index {index}, expected {}",
-                self.header.start + self.written
-            )));
-        }
-        if point.get("frontier").is_some() {
-            return Err(WireError::Schema(format!(
-                "chunk report: {what} carries a \"frontier\" flag — the frontier is a \
-                 global property only the merged report may render"
-            )));
-        }
-        self.written += 1;
-        let mut out = String::new();
-        point.push(&mut out);
-        out.push('\n');
-        Ok(out)
-    }
-
-    /// Point lines still owed before the emission is complete.
-    pub fn remaining(&self) -> usize {
-        (self.header.end - self.header.start) - self.written
-    }
-
-    /// Verifies the emission is complete (every point line emitted).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Schema`] naming the shortfall.
-    pub fn finish(self) -> Result<(), WireError> {
-        let need = self.header.end - self.header.start;
-        if self.written != need {
-            return Err(WireError::Schema(format!(
-                "chunk report: range {}..{} needs {} points, got {}",
-                self.header.start, self.header.end, need, self.written
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// One parsed line of a chunk's JSONL rendering, as
-/// [`ChunkJsonlReader`] hands it back.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChunkLine {
-    /// The header line: the chunk's identity.
-    Header {
-        /// The campaign's config hash.
-        config_hash: u64,
-        /// The campaign kind tag.
-        kind: String,
-        /// Chunk index within the manifest.
-        chunk: usize,
-        /// First work-item index covered (inclusive).
-        start: usize,
-        /// One past the last work-item index covered.
-        end: usize,
-    },
-    /// A point line, already index-checked against its position.
-    Point {
-        /// The point's work-item index.
-        index: usize,
-        /// The point object (opaque to this codec, minus the checked
-        /// `index` and rejected `frontier` fields).
-        point: JsonValue,
-    },
-}
-
-/// Incremental twin of [`ChunkReport::from_jsonl`]: feed it one line at
-/// a time and get back the parsed header or point immediately, with the
-/// same validations the batch parser applies — but holding only
-/// counters, never the accumulated report. A consumer that forwards
-/// each point as it arrives (a streaming reducer, a renderer) runs in
-/// constant memory per chunk.
-pub struct ChunkJsonlReader {
-    range: Option<(usize, usize)>,
-    seen: usize,
-}
-
-impl Default for ChunkJsonlReader {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ChunkJsonlReader {
-    /// A reader expecting a header line first.
-    pub fn new() -> ChunkJsonlReader {
-        ChunkJsonlReader {
-            range: None,
-            seen: 0,
-        }
-    }
-
-    /// Parses and validates the next line.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] for malformed JSON, a bad header (unknown kind,
-    /// empty range), an out-of-order point index, a `frontier` field,
-    /// or more point lines than the header's range allows.
-    pub fn push_line(&mut self, line: &str) -> Result<ChunkLine, WireError> {
-        let v = JsonValue::parse(line)?;
-        let Some((start, end)) = self.range else {
-            reject_unknown(
-                &v,
-                "chunk report",
-                &["chunk", "kind", "config_hash", "start", "end"],
-            )?;
-            let kind = field(&v, "chunk report", "kind")?.str("kind")?;
-            if !matches!(kind, "budget" | "load" | "random") {
-                return Err(WireError::Schema(format!(
-                    "chunk report: unknown kind \"{kind}\""
-                )));
-            }
-            let start = field(&v, "chunk report", "start")?.usize("start")?;
-            let end = field(&v, "chunk report", "end")?.usize("end")?;
-            if end <= start {
-                return Err(WireError::Schema(format!(
-                    "chunk report: empty range {start}..{end}"
-                )));
-            }
-            self.range = Some((start, end));
-            return Ok(ChunkLine::Header {
-                config_hash: config_hash_from_hex(
-                    field(&v, "chunk report", "config_hash")?.str("config_hash")?,
-                    "config_hash",
-                )?,
-                kind: kind.to_string(),
-                chunk: field(&v, "chunk report", "chunk")?.usize("chunk")?,
-                start,
-                end,
-            });
-        };
-        if self.seen == end - start {
-            return Err(WireError::Schema(format!(
-                "chunk report: range {start}..{end} needs {} points, got {}",
-                end - start,
-                end - start + 1
-            )));
-        }
-        let what = format!("points[{}]", self.seen);
-        let index = field(&v, &what, "index")?.usize("index")?;
-        if index != start + self.seen {
-            return Err(WireError::Schema(format!(
-                "chunk report: {what} has index {index}, expected {}",
-                start + self.seen
-            )));
-        }
-        if v.get("frontier").is_some() {
-            return Err(WireError::Schema(format!(
-                "chunk report: {what} carries a \"frontier\" flag — the frontier is a \
-                 global property only the merged report may render"
-            )));
-        }
-        self.seen += 1;
-        Ok(ChunkLine::Point { index, point: v })
-    }
-
-    /// Whether the header arrived and every point line with it.
-    pub fn is_complete(&self) -> bool {
-        matches!(self.range, Some((start, end)) if self.seen == end - start)
-    }
-
-    /// Verifies the document was complete.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Schema`] for a missing header (`"empty document"`)
-    /// or a point-count shortfall.
-    pub fn finish(self) -> Result<(), WireError> {
-        let Some((start, end)) = self.range else {
-            return Err(WireError::Schema("chunk report: empty document".into()));
-        };
-        if self.seen != end - start {
-            return Err(WireError::Schema(format!(
-                "chunk report: range {start}..{end} needs {} points, got {}",
-                end - start,
-                self.seen
-            )));
-        }
-        Ok(())
-    }
-}
-
 /// Serializes a [`BasisSnapshot`] as canonical JSON — how a coordinator
 /// ships a warm basis to a shard. Inactive rows (`usize::MAX`) travel
 /// as `null`.

@@ -20,12 +20,17 @@
 //! the warm ≡ cold contract the pipeline tests pin. Reinsertion puts
 //! the context at the most-recently-used end and evicts from the
 //! least-recently-used end once over capacity.
+//!
+//! The snapshot verbs are not solves, so they never check out:
+//! [`ContextCache::basis_snapshot`] and [`ContextCache::import_basis`]
+//! read and seed the entry in place under the cache lock, counting no
+//! hit or miss and never hiding the context from a concurrent solve.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use socbuf_core::wire::{architecture_to_json, sizing_config_to_json};
-use socbuf_core::{SizingConfig, SolveContext};
+use socbuf_core::{BasisSnapshot, SizingConfig, SolveContext};
 use socbuf_soc::Architecture;
 
 /// Counter snapshot (see [`ContextCache::stats`]).
@@ -107,10 +112,47 @@ impl ContextCache {
     /// context replaces it (both are equally warm; keeping one bounds
     /// memory).
     pub fn checkin(&self, key: String, ctx: SolveContext) {
+        let mut entries = self.entries.lock().expect("cache lock poisoned");
+        self.insert(&mut entries, key, ctx);
+    }
+
+    /// The basis of the context cached for `key`, read in place: `None`
+    /// when nothing is cached, `Some(None)` when the cached context has
+    /// not solved (and holds no imported seed). Counts no hit or miss.
+    pub fn basis_snapshot(&self, key: &str) -> Option<Option<BasisSnapshot>> {
+        let entries = self.entries.lock().expect("cache lock poisoned");
+        entries
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, ctx)| ctx.basis_snapshot().cloned())
+    }
+
+    /// Seeds the context cached for `key` with `snapshot` in place, or
+    /// caches a fresh context from `make` seeded with it when nothing
+    /// is cached. Counts no hit or miss.
+    pub fn import_basis(
+        &self,
+        key: String,
+        snapshot: BasisSnapshot,
+        make: impl FnOnce() -> SolveContext,
+    ) {
+        let mut entries = self.entries.lock().expect("cache lock poisoned");
+        match entries.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, ctx)) => ctx.import_basis(snapshot),
+            None => {
+                let mut ctx = make();
+                ctx.import_basis(snapshot);
+                self.insert(&mut entries, key, ctx);
+            }
+        }
+    }
+
+    /// Inserts at the most-recently-used end, replacing any entry under
+    /// the same key and evicting past capacity.
+    fn insert(&self, entries: &mut Vec<(String, SolveContext)>, key: String, ctx: SolveContext) {
         if self.capacity == 0 {
             return;
         }
-        let mut entries = self.entries.lock().expect("cache lock poisoned");
         if let Some(i) = entries.iter().position(|(k, _)| *k == key) {
             entries.remove(i);
         }
@@ -183,6 +225,23 @@ mod tests {
         assert!(cache.checkout("a").is_some());
         assert!(cache.checkout("c").is_some());
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn snapshot_reads_and_imports_count_no_hit_or_miss() {
+        let cache = ContextCache::new(4);
+        let key = cache_key(&templates::figure1(), &SizingConfig::small());
+        let snapshot = BasisSnapshot::new(vec![0, 1], 3, socbuf_core::LpEngine::Revised);
+        assert!(cache.basis_snapshot(&key).is_none());
+        cache.import_basis(key.clone(), snapshot.clone(), ctx);
+        assert_eq!(cache.basis_snapshot(&key), Some(Some(snapshot.clone())));
+        cache.import_basis(key.clone(), snapshot, ctx);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 0, 1));
+        assert!(
+            cache.checkout(&key).is_some(),
+            "the seeded entry stays cached"
+        );
     }
 
     #[test]

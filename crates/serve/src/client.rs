@@ -2,13 +2,14 @@
 //! lifecycle tests and the `serve_probe` bench bin both drive.
 //!
 //! One [`Client`] owns one connection and issues request/response pairs
-//! in strict alternation. Replies carry both the typed decoding *and*
-//! the canonical JSON text of the semantic payload
-//! ([`SizeReply::result_json`], [`SweepReply::report_json`]): because
-//! the server renders canonically and [`JsonValue`] re-renders
-//! canonically, that text is byte-for-byte what the server computed —
-//! which is what the byte-parity checks compare against the direct
-//! pipeline.
+//! in strict alternation. A `size` reply carries both the typed
+//! decoding *and* the canonical JSON text of the semantic payload
+//! ([`SizeReply::result_json`]): because the server renders canonically
+//! and [`JsonValue`] re-renders canonically, that text is byte-for-byte
+//! what the server computed — which is what the byte-parity checks
+//! compare against the direct pipeline. Campaigns travel one way,
+//! through [`Client::sweep_stream`]; [`Client::sweep`] is a thin
+//! budget-sweep wrapper over it.
 
 use std::io;
 use std::net::TcpStream;
@@ -25,7 +26,10 @@ use socbuf_core::wire::{
 };
 use socbuf_core::{BasisSnapshot, SizingConfig, SizingOutcome};
 use socbuf_soc::Architecture;
-use socbuf_sweep::{MergeError, PointSink, ReduceStats, StreamingReducer};
+use socbuf_sweep::{
+    BudgetSweep, MergeError, PointSink, ReduceStats, StreamingReducer, SweepKind, SweepReport,
+    VecSink,
+};
 
 use crate::protocol::{
     read_frame, read_frame_deadline, write_frame, Health, Request, Response, Trace,
@@ -96,25 +100,12 @@ pub struct SizeReply {
     pub trace: Trace,
 }
 
-/// A decoded `sweep` reply.
-#[derive(Debug)]
-pub struct SweepReply {
-    /// Canonical JSON of the report (`{"kind":…,"points":[…]}`).
-    pub report_json: String,
-    /// How the server served this request.
-    pub trace: Trace,
-}
-
-/// A decoded `sweep_chunk` reply.
+/// A decoded `sweep_stream` chunk frame.
 #[derive(Debug)]
 pub struct ChunkReply {
     /// The decoded chunk report, ready for the merge reducer.
     pub report: ChunkReport,
-    /// Canonical JSON of the chunk report — byte-for-byte what the
-    /// server rendered.
-    pub report_json: String,
-    /// How the server served this request (`warm` is true when the
-    /// chunk was basis-seeded from the shard's cache).
+    /// How the server served this chunk.
     pub trace: Trace,
 }
 
@@ -131,19 +122,6 @@ pub struct StreamEndReply {
     pub frames: u64,
     /// Points across those chunk frames.
     pub points: u64,
-}
-
-/// A decoded `frontier` reply.
-#[derive(Debug)]
-pub struct FrontierReply {
-    /// Canonical JSON of the underlying report.
-    pub report_json: String,
-    /// Indices of Pareto-efficient points.
-    pub indices: Vec<usize>,
-    /// Human-readable frontier table.
-    pub table: String,
-    /// How the server served this request.
-    pub trace: Trace,
 }
 
 /// Connection tuning for a [`Client`].
@@ -373,63 +351,42 @@ impl Client {
         }
     }
 
-    /// Runs a budget sweep on the server.
+    /// Runs a warm-chained budget sweep on the server: a thin wrapper
+    /// that builds the sweep's [`BudgetSweep::manifest`], streams it
+    /// through [`Client::sweep_stream`] into a [`StreamingReducer`],
+    /// and returns the merged report. Its CSV and JSONL renderings are
+    /// byte-identical to a local [`BudgetSweep::run`]; call
+    /// [`SweepReport::pareto_frontier`] or
+    /// [`SweepReport::frontier_table`] on it for the frontier.
     ///
     /// # Errors
     ///
-    /// Transport, protocol, or remote failures as [`ClientError`].
+    /// Transport, protocol, or remote failures as [`ClientError`]; a
+    /// budget grid no manifest can carry, or a stream the reducer
+    /// rejects, as [`ClientError::Wire`].
     pub fn sweep(
         &mut self,
         arch: &Architecture,
         config: &SizingConfig,
         budgets: &[usize],
-    ) -> Result<SweepReply, ClientError> {
-        let req = Request::Sweep {
-            arch: arch.clone(),
-            config: config.clone(),
-            budgets: budgets.to_vec(),
-        };
-        match self.request(&req)? {
-            Response::Sweep { report, trace } => Ok(SweepReply {
-                report_json: report,
-                trace,
-            }),
-            _ => Err(unexpected("sweep")),
-        }
+    ) -> Result<SweepReport, ClientError> {
+        let mut sweep = BudgetSweep::new(arch, budgets.to_vec());
+        sweep.sizing = config.clone();
+        let manifest = sweep
+            .manifest()
+            .map_err(|e| ClientError::Wire(WireError::Schema(e.to_string())))?;
+        let mut reducer = StreamingReducer::new(&manifest, VecSink::new());
+        self.sweep_stream(&manifest, None, |reply| {
+            reducer.ingest(&reply.report).map_err(merge_rejected)
+        })?;
+        let (sink, _) = reducer.finish().map_err(merge_rejected)?;
+        Ok(SweepReport {
+            kind: SweepKind::Budget,
+            points: sink.into_points(),
+        })
     }
 
-    /// Runs a budget sweep and extracts its Pareto frontier.
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or remote failures as [`ClientError`].
-    pub fn frontier(
-        &mut self,
-        arch: &Architecture,
-        config: &SizingConfig,
-        budgets: &[usize],
-    ) -> Result<FrontierReply, ClientError> {
-        let req = Request::Frontier {
-            arch: arch.clone(),
-            config: config.clone(),
-            budgets: budgets.to_vec(),
-        };
-        match self.request(&req)? {
-            Response::Frontier {
-                report,
-                indices,
-                table,
-                trace,
-            } => Ok(FrontierReply {
-                report_json: report,
-                indices,
-                table,
-                trace,
-            }),
-            _ => Err(unexpected("frontier")),
-        }
-    }
-
+    /// Fetches the server's counters.
     /// Fetches the server's counters.
     ///
     /// # Errors
@@ -451,42 +408,6 @@ impl Client {
         match self.request(&Request::Drain)? {
             Response::Draining => Ok(()),
             _ => Err(unexpected("drain")),
-        }
-    }
-
-    /// Executes one manifest chunk on the server.
-    ///
-    /// With `seed_from_cache` the shard seeds its first solve from a
-    /// cached basis when one exists (warm transfer — pivot counts may
-    /// drop; report bytes are unaffected because `lp_iterations` is a
-    /// trace-only field on this path).
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or remote failures as [`ClientError`] —
-    /// including structured manifest rejections (stale config hash,
-    /// out-of-range chunk) surfaced as [`ClientError::Remote`].
-    pub fn sweep_chunk(
-        &mut self,
-        manifest: &CampaignManifest,
-        chunk: usize,
-        seed_from_cache: bool,
-    ) -> Result<ChunkReply, ClientError> {
-        let req = Request::SweepChunk {
-            manifest: manifest.clone(),
-            chunk,
-            seed_from_cache,
-        };
-        match self.request(&req)? {
-            Response::Chunk { report, trace } => {
-                let decoded = ChunkReport::from_json(&JsonValue::parse(&report)?)?;
-                Ok(ChunkReply {
-                    report: decoded,
-                    report_json: report,
-                    trace,
-                })
-            }
-            _ => Err(unexpected("sweep_chunk")),
         }
     }
 
@@ -529,14 +450,9 @@ impl Client {
             let reply = self.read_reply()?;
             match Response::parse(&reply)? {
                 Response::Chunk { report, trace } => {
-                    let decoded = ChunkReport::from_json(&JsonValue::parse(&report)?)?;
                     frames += 1;
-                    points += decoded.points.len() as u64;
-                    on_chunk(ChunkReply {
-                        report: decoded,
-                        report_json: report,
-                        trace,
-                    })?;
+                    points += report.points.len() as u64;
+                    on_chunk(ChunkReply { report, trace })?;
                 }
                 Response::StreamEnd {
                     config_hash,
@@ -663,17 +579,25 @@ fn unexpected(req: &str) -> ClientError {
     )))
 }
 
+/// A merge rejection of streamed chunk frames: the server's stream did
+/// not cover the manifest it was asked for.
+fn merge_rejected(e: MergeError) -> ClientError {
+    ClientError::Wire(WireError::Schema(format!(
+        "stream rejected by the merge: {e}"
+    )))
+}
+
 /// Coordinator-side fan-out: one connection per shard, chunks assigned
-/// round-robin (`chunk c` → `shard c % n`), replies slotted back into
-/// chunk order so the result vector feeds
-/// `socbuf_sweep::merge_chunk_reports` directly.
+/// round-robin (`chunk c` → `shard c % n`), each shard's subset
+/// streamed back over one `sweep_stream` request and merged in chunk
+/// order by a shared [`StreamingReducer`].
 ///
 /// The assignment is a pure function of `(num_chunks, shards)` — never
 /// of timing — so reruns issue identical request sequences. Each shard
-/// executes its chunks sequentially on its own thread, retrying
-/// backpressure under the fleet's [`RetryPolicy`]. Warm chains inside
-/// a chunk are preserved by construction (a chunk never splits), which
-/// is what keeps the merged bytes identical to a serial run.
+/// streams its chunks on its own thread, retrying backpressure under
+/// the fleet's [`RetryPolicy`]. Warm chains inside a chunk are
+/// preserved by construction (a chunk never splits), which is what
+/// keeps the merged bytes identical to a serial run.
 pub struct ShardFleet {
     clients: Vec<Client>,
     retry: RetryPolicy,
@@ -701,67 +625,14 @@ impl ShardFleet {
         self.clients.len()
     }
 
-    /// Executes every chunk of `manifest` across the fleet and returns
-    /// the reports in chunk order.
-    ///
-    /// # Errors
-    ///
-    /// The failure from the lowest-indexed failing shard; on any
-    /// failure the whole fan-out is abandoned (partial coverage would
-    /// be rejected by the reducer anyway).
-    pub fn run_manifest(
-        &mut self,
-        manifest: &CampaignManifest,
-        seed_from_cache: bool,
-    ) -> Result<Vec<ChunkReport>, ClientError> {
-        let shards = self.clients.len();
-        let num_chunks = manifest.chunks.len();
-        let retry = self.retry;
-        let mut per_shard: Vec<Result<Vec<(usize, ChunkReport)>, ClientError>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .clients
-                .iter_mut()
-                .enumerate()
-                .map(|(shard, client)| {
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        let mut chunk = shard;
-                        while chunk < num_chunks {
-                            let reply = client.with_retry(&retry, |c| {
-                                c.sweep_chunk(manifest, chunk, seed_from_cache)
-                            })?;
-                            done.push((chunk, reply.report));
-                            chunk += shards;
-                        }
-                        Ok(done)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                per_shard.push(handle.join().expect("shard thread panicked"));
-            }
-        });
-        let mut slots: Vec<Option<ChunkReport>> = (0..num_chunks).map(|_| None).collect();
-        for shard in per_shard {
-            for (chunk, report) in shard? {
-                slots[chunk] = Some(report);
-            }
-        }
-        Ok(slots
-            .into_iter()
-            .map(|slot| slot.expect("round-robin covers every chunk"))
-            .collect())
-    }
-
     /// Streams every chunk of `manifest` across the fleet into `sink`,
     /// merging frames through a shared [`StreamingReducer`] as they
     /// arrive.
     ///
-    /// The chunk assignment is the same pure `chunk c` → `shard c % n`
-    /// round-robin as [`run_manifest`](Self::run_manifest), but no
-    /// per-chunk report vector is ever materialised: each shard issues
-    /// one `sweep_stream` request for its subset and ingests frames
+    /// The chunk assignment is the pure `chunk c` → `shard c % n`
+    /// round-robin, and no per-chunk report vector is ever
+    /// materialised: each shard issues one `sweep_stream` request for
+    /// its subset and ingests frames
     /// into the reducer the moment they land, so the coordinator's
     /// resident footprint is the reducer's out-of-order parking lot
     /// ([`ReduceStats::peak_resident_points`]), not the campaign. The

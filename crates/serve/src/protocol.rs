@@ -27,9 +27,6 @@
 //! | `req`             | extra fields                                 | answer |
 //! |-------------------|----------------------------------------------|--------|
 //! | `size`            | `arch`, `config`, `budget`                   | one sizing outcome + trace |
-//! | `sweep`           | `arch`, `config`, `budgets` (array)          | a [`SweepReport`] + trace |
-//! | `frontier`        | `arch`, `config`, `budgets` (array)          | report + Pareto indices + table + trace |
-//! | `sweep_chunk`     | `manifest`, `chunk`, `seed_from_cache`       | one chunk-tagged report + trace |
 //! | `sweep_stream`    | `manifest`, optional `chunks` (array)        | one chunk frame per chunk, then a `stream_end` frame |
 //! | `snapshot_export` | `arch`, `config`                             | the cached context's basis |
 //! | `snapshot_import` | `arch`, `config`, `snapshot`                 | import acknowledgement |
@@ -40,11 +37,15 @@
 //! ([`architecture_to_json`], [`sizing_config_to_json`]); `config` may
 //! be `{}` for the defaults. `manifest` is a
 //! [`socbuf_core::wire::CampaignManifest`] document and `snapshot` a
-//! [`socbuf_core::wire::basis_snapshot_to_json`] document — the shard
-//! verbs: a coordinator ships manifest chunks to shard servers
-//! (`sweep_chunk`), and may move a warm basis between shards
-//! (`snapshot_export` → `snapshot_import`) so a freshly started shard
-//! solves its first chunk warm.
+//! [`socbuf_core::wire::basis_snapshot_to_json`] document.
+//!
+//! `sweep_stream` is the one campaign verb: a budget sweep, a load
+//! sweep and a random campaign all travel as a manifest, whether one
+//! client streams the whole campaign or a fleet coordinator gives each
+//! shard its chunk subset. The snapshot verbs move the basis of a
+//! cached `size` context between servers (`snapshot_export` →
+//! `snapshot_import`), so a freshly started server answers its first
+//! `size` for that architecture and config warm.
 //!
 //! # Responses
 //!
@@ -56,22 +57,21 @@
 //!   (architecture, config, budget), byte-identical whether the server
 //!   answered from a cold solve or a warm cache hit. Path-dependent
 //!   data (pivot count, timings, warm/cold) lives in `trace`.
-//! * `sweep` → `{"v":1,"ok":true,"report":<report>,"trace":<trace>}`
-//!   with `report` from [`SweepReport::to_json`].
-//! * `frontier` → like `sweep`, plus `"frontier":[indices]` and a
-//!   human-readable `"table"` string.
-//! * `health` → `{"v":1,"ok":true,"health":{…}}` (see [`Health`]).
-//! * `drain` → `{"v":1,"ok":true,"draining":true}`.
 //! * `sweep_stream` → the one verb that answers with **more than one
-//!   frame**: each selected chunk arrives as its own `chunk_report`
-//!   frame (identical in shape to a `sweep_chunk` answer) the moment
-//!   the server finishes it, followed by a terminal
+//!   frame**: each selected chunk arrives as its own
+//!   `{"v":1,"ok":true,"chunk_report":<report>,"trace":<trace>}` frame
+//!   (`report` from [`ChunkReport::to_json`]) the moment the server
+//!   finishes it, followed by a terminal
 //!   `{"v":1,"ok":true,"stream_end":{"config_hash":"…","frames":N,"points":N}}`
 //!   summary the client checks against what it consumed. A failure
 //!   mid-stream arrives as an ordinary error frame in the same
 //!   position and ends the stream. The optional `chunks` request field
 //!   selects a subset of manifest chunks (a fleet coordinator gives
 //!   each shard its share); omitted means all chunks, in order.
+//! * `snapshot_export` → `{"v":1,"ok":true,"snapshot":<basis>}`;
+//!   `snapshot_import` → `{"v":1,"ok":true,"imported":true}`.
+//! * `health` → `{"v":1,"ok":true,"health":{…}}` (see [`Health`]).
+//! * `drain` → `{"v":1,"ok":true,"draining":true}`.
 //! * failures → `{"v":1,"ok":false,"error":"…"}`; when the server
 //!   refused for backpressure the error is `"busy"` and a
 //!   `"retry_after_ms"` hint is attached.
@@ -93,11 +93,10 @@ use socbuf_core::wire::{
     architecture_from_json, architecture_to_json, basis_snapshot_from_json, basis_snapshot_to_json,
     config_hash_from_hex, config_hash_to_hex, push_f64, push_str, push_usize,
     sizing_config_from_json, sizing_config_to_json, sizing_outcome_semantic_json, CampaignManifest,
-    JsonValue, WireError,
+    ChunkReport, JsonValue, WireError,
 };
 use socbuf_core::{BasisSnapshot, SizingConfig, SizingOutcome};
 use socbuf_soc::Architecture;
-use socbuf_sweep::SweepReport;
 
 /// The one protocol version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -294,45 +293,11 @@ pub enum Request {
         /// Total buffer budget.
         budget: usize,
     },
-    /// Run a warm-chained budget sweep.
-    Sweep {
-        /// The architecture to sweep.
-        arch: Architecture,
-        /// Pipeline configuration.
-        config: SizingConfig,
-        /// The budget grid.
-        budgets: Vec<usize>,
-    },
-    /// Run a budget sweep and extract its Pareto frontier.
-    Frontier {
-        /// The architecture to sweep.
-        arch: Architecture,
-        /// Pipeline configuration.
-        config: SizingConfig,
-        /// The budget grid.
-        budgets: Vec<usize>,
-    },
-    /// Execute one chunk of a sharded campaign manifest (the shard
-    /// worker's unit of work).
-    SweepChunk {
-        /// The campaign manifest (shape, config, chunk partition,
-        /// config hash) — verified on parse.
-        manifest: CampaignManifest,
-        /// Which manifest chunk to execute.
-        chunk: usize,
-        /// Seed the chunk's warm chain from this server's cached
-        /// context basis, when one exists. Seeding changes pivot counts
-        /// (part of the rendered bytes), so this must stay `false` on
-        /// the byte-identity merge path — it is the opt-in
-        /// warm-transfer mode, measured by the trace's pivot count.
-        seed_from_cache: bool,
-    },
     /// Stream a campaign's chunk reports as they complete: one chunk
     /// frame per selected chunk, then a terminal
-    /// [`Response::StreamEnd`] summary. The streaming twin of
-    /// repeated `sweep_chunk` round-trips — one request, a pipelined
-    /// sequence of answers, no whole-campaign materialization on
-    /// either side.
+    /// [`Response::StreamEnd`] summary. The only campaign verb — one
+    /// request, a pipelined sequence of answers, no whole-campaign
+    /// materialization on either side.
     SweepStream {
         /// The campaign manifest — verified on parse.
         manifest: CampaignManifest,
@@ -381,46 +346,6 @@ impl Request {
                 out.push_str(&sizing_config_to_json(config));
                 out.push_str(",\"budget\":");
                 push_usize(&mut out, *budget);
-            }
-            Request::Sweep {
-                arch,
-                config,
-                budgets,
-            }
-            | Request::Frontier {
-                arch,
-                config,
-                budgets,
-            } => {
-                out.push_str(if matches!(self, Request::Sweep { .. }) {
-                    "\"sweep\""
-                } else {
-                    "\"frontier\""
-                });
-                out.push_str(",\"arch\":");
-                out.push_str(&architecture_to_json(arch));
-                out.push_str(",\"config\":");
-                out.push_str(&sizing_config_to_json(config));
-                out.push_str(",\"budgets\":[");
-                for (i, b) in budgets.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_usize(&mut out, *b);
-                }
-                out.push(']');
-            }
-            Request::SweepChunk {
-                manifest,
-                chunk,
-                seed_from_cache,
-            } => {
-                out.push_str("\"sweep_chunk\",\"manifest\":");
-                out.push_str(&manifest.to_json());
-                out.push_str(",\"chunk\":");
-                push_usize(&mut out, *chunk);
-                out.push_str(",\"seed_from_cache\":");
-                out.push_str(if *seed_from_cache { "true" } else { "false" });
             }
             Request::SweepStream { manifest, chunks } => {
                 out.push_str("\"sweep_stream\",\"manifest\":");
@@ -493,14 +418,6 @@ impl Request {
                 })?)?;
             Ok((arch, config))
         };
-        let budgets = |v: &JsonValue| -> Result<Vec<usize>, WireError> {
-            v.get("budgets")
-                .ok_or_else(|| WireError::Schema("request: missing field \"budgets\"".into()))?
-                .arr("budgets")?
-                .iter()
-                .map(|b| b.usize("budget"))
-                .collect()
-        };
         match req {
             "size" => {
                 let (arch, config) = arch_config(&v)?;
@@ -512,43 +429,6 @@ impl Request {
                     arch,
                     config,
                     budget,
-                })
-            }
-            "sweep" => {
-                let (arch, config) = arch_config(&v)?;
-                Ok(Request::Sweep {
-                    arch,
-                    config,
-                    budgets: budgets(&v)?,
-                })
-            }
-            "frontier" => {
-                let (arch, config) = arch_config(&v)?;
-                Ok(Request::Frontier {
-                    arch,
-                    config,
-                    budgets: budgets(&v)?,
-                })
-            }
-            "sweep_chunk" => {
-                let manifest =
-                    CampaignManifest::from_json(v.get("manifest").ok_or_else(|| {
-                        WireError::Schema("request: missing field \"manifest\"".into())
-                    })?)?;
-                let chunk = v
-                    .get("chunk")
-                    .ok_or_else(|| WireError::Schema("request: missing field \"chunk\"".into()))?
-                    .usize("chunk")?;
-                let seed_from_cache = v
-                    .get("seed_from_cache")
-                    .ok_or_else(|| {
-                        WireError::Schema("request: missing field \"seed_from_cache\"".into())
-                    })?
-                    .bool("seed_from_cache")?;
-                Ok(Request::SweepChunk {
-                    manifest,
-                    chunk,
-                    seed_from_cache,
                 })
             }
             "sweep_stream" => {
@@ -659,12 +539,6 @@ impl Trace {
 pub struct VerbCounts {
     /// `size` requests served.
     pub size: u64,
-    /// `sweep` requests served.
-    pub sweep: u64,
-    /// `frontier` requests served.
-    pub frontier: u64,
-    /// `sweep_chunk` requests served.
-    pub sweep_chunk: u64,
     /// `sweep_stream` requests served.
     pub sweep_stream: u64,
     /// `snapshot_export` requests served.
@@ -682,12 +556,6 @@ impl VerbCounts {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"size\":");
         push_usize(&mut out, self.size as usize);
-        out.push_str(",\"sweep\":");
-        push_usize(&mut out, self.sweep as usize);
-        out.push_str(",\"frontier\":");
-        push_usize(&mut out, self.frontier as usize);
-        out.push_str(",\"sweep_chunk\":");
-        push_usize(&mut out, self.sweep_chunk as usize);
         out.push_str(",\"sweep_stream\":");
         push_usize(&mut out, self.sweep_stream as usize);
         out.push_str(",\"snapshot_export\":");
@@ -715,9 +583,6 @@ impl VerbCounts {
         };
         Ok(VerbCounts {
             size: u("size")?,
-            sweep: u("sweep")?,
-            frontier: u("frontier")?,
-            sweep_chunk: u("sweep_chunk")?,
             sweep_stream: u("sweep_stream")?,
             snapshot_export: u("snapshot_export")?,
             snapshot_import: u("snapshot_import")?,
@@ -896,32 +761,12 @@ pub enum Response {
         /// How the request was served.
         trace: Trace,
     },
-    /// Answer to `sweep`: a rendered [`SweepReport::to_json`] document.
-    Sweep {
-        /// Canonical report JSON.
-        report: String,
-        /// How the request was served.
-        trace: Trace,
-    },
-    /// Answer to `frontier`: the report, its Pareto indices, and a
-    /// human-readable table.
-    Frontier {
-        /// Canonical report JSON.
-        report: String,
-        /// Indices of Pareto-efficient points (report order).
-        indices: Vec<usize>,
-        /// [`SweepReport::frontier_table`] text.
-        table: String,
-        /// How the request was served.
-        trace: Trace,
-    },
-    /// Answer to `sweep_chunk`: a canonical chunk-report document
-    /// ([`socbuf_core::wire::ChunkReport::to_json`]).
+    /// One chunk frame of a `sweep_stream` answer, rendered through
+    /// [`ChunkReport::to_json`].
     Chunk {
-        /// Canonical chunk-report JSON.
-        report: String,
-        /// How the chunk was served (`warm` = the chain was seeded
-        /// from the cache; `pivots` = the chunk's total).
+        /// The executed chunk's report.
+        report: ChunkReport,
+        /// How the chunk was served (`pivots` = the chunk's total).
         trace: Trace,
     },
     /// Terminal frame of a `sweep_stream` answer: what the server
@@ -970,24 +815,6 @@ impl Response {
         }
     }
 
-    /// Builds the `sweep` response for a report.
-    pub fn for_report(report: &SweepReport, trace: Trace) -> Response {
-        Response::Sweep {
-            report: report.to_json(),
-            trace,
-        }
-    }
-
-    /// Builds the `frontier` response for a report.
-    pub fn for_frontier(report: &SweepReport, trace: Trace) -> Response {
-        Response::Frontier {
-            report: report.to_json(),
-            indices: report.pareto_frontier(),
-            table: report.frontier_table(),
-            trace,
-        }
-    }
-
     /// Renders this response as canonical protocol JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"v\":1,\"ok\":");
@@ -998,35 +825,9 @@ impl Response {
                 out.push_str(",\"trace\":");
                 out.push_str(&trace.to_json());
             }
-            Response::Sweep { report, trace } => {
-                out.push_str("true,\"report\":");
-                out.push_str(report);
-                out.push_str(",\"trace\":");
-                out.push_str(&trace.to_json());
-            }
-            Response::Frontier {
-                report,
-                indices,
-                table,
-                trace,
-            } => {
-                out.push_str("true,\"report\":");
-                out.push_str(report);
-                out.push_str(",\"frontier\":[");
-                for (i, idx) in indices.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_usize(&mut out, *idx);
-                }
-                out.push_str("],\"table\":");
-                push_str(&mut out, table);
-                out.push_str(",\"trace\":");
-                out.push_str(&trace.to_json());
-            }
             Response::Chunk { report, trace } => {
                 out.push_str("true,\"chunk_report\":");
-                out.push_str(report);
+                out.push_str(&report.to_json());
                 out.push_str(",\"trace\":");
                 out.push_str(&trace.to_json());
             }
@@ -1116,7 +917,7 @@ impl Response {
         }
         if let Some(r) = v.get("chunk_report") {
             return Ok(Response::Chunk {
-                report: r.render(),
+                report: ChunkReport::from_json(r)?,
                 trace: trace(&v)?,
             });
         }
@@ -1155,34 +956,9 @@ impl Response {
         if v.get("draining").is_some() {
             return Ok(Response::Draining);
         }
-        if let Some(report) = v.get("report") {
-            let report = report.render();
-            return Ok(match v.get("frontier") {
-                Some(f) => Response::Frontier {
-                    report,
-                    indices: f
-                        .arr("frontier")?
-                        .iter()
-                        .map(|i| i.usize("frontier index"))
-                        .collect::<Result<_, _>>()?,
-                    table: v
-                        .get("table")
-                        .ok_or_else(|| {
-                            WireError::Schema("response: frontier without \"table\"".into())
-                        })?
-                        .str("table")?
-                        .to_string(),
-                    trace: trace(&v)?,
-                },
-                None => Response::Sweep {
-                    report,
-                    trace: trace(&v)?,
-                },
-            });
-        }
         Err(WireError::Schema(
             "response matches no known shape \
-             (expected result/report/chunk_report/stream_end/snapshot/imported/health/draining)"
+             (expected result/chunk_report/stream_end/snapshot/imported/health/draining)"
                 .into(),
         ))
     }
@@ -1236,21 +1012,6 @@ mod tests {
                 config: config.clone(),
                 budget: 24,
             },
-            Request::Sweep {
-                arch: arch.clone(),
-                config: config.clone(),
-                budgets: vec![8, 16, 24],
-            },
-            Request::Frontier {
-                arch: arch.clone(),
-                config: config.clone(),
-                budgets: vec![8, 16],
-            },
-            Request::SweepChunk {
-                manifest: manifest.clone(),
-                chunk: 1,
-                seed_from_cache: true,
-            },
             Request::SweepStream {
                 manifest: manifest.clone(),
                 chunks: None,
@@ -1282,6 +1043,25 @@ mod tests {
         assert!(Request::parse("{\"v\":2,\"req\":\"health\"}").is_err());
         assert!(Request::parse("{\"req\":\"health\"}").is_err());
         assert!(Request::parse("{\"v\":1,\"req\":\"explode\"}").is_err());
+        // The retired campaign verbs are unknown kinds, whatever their
+        // payload: `sweep_stream` carries every campaign.
+        let arch = architecture_to_json(&templates::amba());
+        for payload in [
+            format!(
+                "{{\"v\":1,\"req\":\"sweep\",\"arch\":{arch},\"config\":{{}},\"budgets\":[8,16]}}"
+            ),
+            format!(
+                "{{\"v\":1,\"req\":\"frontier\",\"arch\":{arch},\"config\":{{}},\"budgets\":[8]}}"
+            ),
+            "{\"v\":1,\"req\":\"sweep_chunk\",\"manifest\":{},\"chunk\":0}".to_string(),
+        ] {
+            match Request::parse(&payload) {
+                Err(WireError::Schema(msg)) => {
+                    assert!(msg.contains("unknown request kind"), "got: {msg}")
+                }
+                other => panic!("retired verb accepted: {other:?}"),
+            }
+        }
         assert!(Request::parse("not json").is_err());
         assert!(Response::parse("{\"v\":7,\"ok\":true}").is_err());
     }
@@ -1313,9 +1093,6 @@ mod tests {
             },
             requests: VerbCounts {
                 size: 7,
-                sweep: 2,
-                frontier: 1,
-                sweep_chunk: 4,
                 sweep_stream: 2,
                 snapshot_export: 1,
                 snapshot_import: 1,
@@ -1328,12 +1105,15 @@ mod tests {
                 result: "{\"allocation\":[1,2]}".into(),
                 trace,
             },
-            Response::Sweep {
-                report: "{\"kind\":\"budget\",\"points\":[]}".into(),
-                trace,
-            },
             Response::Chunk {
-                report: "{\"chunk\":0,\"kind\":\"budget\",\"config_hash\":\"00000000000000ab\",\"start\":0,\"end\":1,\"points\":[]}".into(),
+                report: ChunkReport {
+                    config_hash: 0xab,
+                    kind: "budget".into(),
+                    chunk: 0,
+                    start: 0,
+                    end: 1,
+                    points: vec![JsonValue::parse("{\"index\":0,\"loss\":0.5}").unwrap()],
+                },
                 trace,
             },
             Response::StreamEnd {
@@ -1345,12 +1125,6 @@ mod tests {
                 snapshot: "{\"basis\":[0,null],\"cols\":3,\"engine\":\"revised\"}".into(),
             },
             Response::Imported,
-            Response::Frontier {
-                report: "{\"kind\":\"budget\",\"points\":[]}".into(),
-                indices: vec![0, 2],
-                table: " point \"quoted\"\nrows\n".into(),
-                trace,
-            },
             Response::Health(health),
             Response::Draining,
             Response::Busy { retry_after_ms: 50 },

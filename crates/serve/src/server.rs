@@ -6,8 +6,8 @@
 //! One accept thread per [`Server`]; one handler thread per connection.
 //! Handlers solve on their own thread (the LP layer's
 //! [`socbuf_core::ExecutorHandle`] additionally fans the decomposed
-//! engine's block solves onto the server's [`WorkPool`]); `sweep` and
-//! `frontier` requests fan their whole budget grid onto the pool via
+//! engine's block solves onto the server's [`WorkPool`]); a
+//! `sweep_stream` request fans each chunk's points onto the pool via
 //! the campaign engine. Concurrency is bounded twice: the pool's width
 //! bounds intra-request parallelism, and the in-flight token counter
 //! bounds how many requests may solve at once — a request arriving
@@ -48,9 +48,10 @@ use std::time::{Duration, Instant};
 
 use std::sync::atomic::AtomicU64;
 
-use socbuf_core::wire::{basis_snapshot_to_json, CampaignManifest, ManifestShape};
-use socbuf_core::{BasisSnapshot, ExecutorHandle, SolveContext};
-use socbuf_sweep::{execute_manifest_chunk_traced, BudgetSweep, SweepReport, WorkPool};
+use socbuf_core::wire::{basis_snapshot_to_json, CampaignManifest};
+use socbuf_core::{ExecutorHandle, SizingConfig, SolveContext};
+use socbuf_soc::Architecture;
+use socbuf_sweep::{execute_manifest_chunk_traced, WorkPool};
 
 use crate::cache::{cache_key, ContextCache};
 use crate::protocol::{
@@ -90,9 +91,6 @@ impl Default for ServerConfig {
 #[derive(Default)]
 struct VerbCounters {
     size: AtomicU64,
-    sweep: AtomicU64,
-    frontier: AtomicU64,
-    sweep_chunk: AtomicU64,
     sweep_stream: AtomicU64,
     snapshot_export: AtomicU64,
     snapshot_import: AtomicU64,
@@ -105,9 +103,6 @@ impl VerbCounters {
     fn count(&self, request: &Request) {
         let counter = match request {
             Request::Size { .. } => &self.size,
-            Request::Sweep { .. } => &self.sweep,
-            Request::Frontier { .. } => &self.frontier,
-            Request::SweepChunk { .. } => &self.sweep_chunk,
             Request::SweepStream { .. } => &self.sweep_stream,
             Request::SnapshotExport { .. } => &self.snapshot_export,
             Request::SnapshotImport { .. } => &self.snapshot_import,
@@ -120,9 +115,6 @@ impl VerbCounters {
     fn snapshot(&self) -> VerbCounts {
         VerbCounts {
             size: self.size.load(Ordering::Relaxed),
-            sweep: self.sweep.load(Ordering::Relaxed),
-            frontier: self.frontier.load(Ordering::Relaxed),
-            sweep_chunk: self.sweep_chunk.load(Ordering::Relaxed),
             sweep_stream: self.sweep_stream.load(Ordering::Relaxed),
             snapshot_export: self.snapshot_export.load(Ordering::Relaxed),
             snapshot_import: self.snapshot_import.load(Ordering::Relaxed),
@@ -438,9 +430,7 @@ fn handle_connection(shared: Arc<Shared>, mut conn: Conn) {
                     received,
                     token,
                 } => {
-                    let alive = stream_sweep(&shared, &mut conn, &manifest, chunks, received);
-                    drop(token);
-                    if !alive {
+                    if !stream_sweep(&shared, &mut conn, &manifest, chunks, received, token) {
                         return;
                     }
                 }
@@ -499,44 +489,31 @@ fn handle_request<'a>(shared: &'a Shared, text: &str) -> Handled<'a> {
         // Snapshot verbs are cache operations, not solves: they skip
         // the in-flight bound and stay available while draining —
         // exporting warmth off a draining shard is exactly when a
-        // coordinator needs them.
-        Request::SnapshotExport { arch, config } => Handled::Reply({
-            let key = cache_key(&arch, &config);
-            match shared.cache.checkout(&key) {
+        // coordinator needs them. They read and seed the cached entry
+        // in place, so they count no cache hit or miss.
+        Request::SnapshotExport { arch, config } => reply(
+            match shared.cache.basis_snapshot(&cache_key(&arch, &config)) {
                 None => Response::Error {
                     message: "no warm context cached for this architecture/config".into(),
-                }
-                .to_json(),
-                Some(ctx) => {
-                    let snapshot = ctx.basis_snapshot().cloned();
-                    shared.cache.checkin(key, ctx);
-                    match snapshot {
-                        Some(s) => Response::Snapshot {
-                            snapshot: basis_snapshot_to_json(&s),
-                        }
-                        .to_json(),
-                        None => Response::Error {
-                            message: "cached context has no basis to export (it has not solved)"
-                                .into(),
-                        }
-                        .to_json(),
-                    }
-                }
-            }
-        }),
+                },
+                Some(None) => Response::Error {
+                    message: "cached context has no basis to export (it has not solved)".into(),
+                },
+                Some(Some(s)) => Response::Snapshot {
+                    snapshot: basis_snapshot_to_json(&s),
+                },
+            },
+        ),
         Request::SnapshotImport {
             arch,
             config,
             snapshot,
         } => {
-            let key = cache_key(&arch, &config);
-            let mut ctx = shared.cache.checkout(&key).unwrap_or_else(|| {
-                let mut config = config.clone();
-                config.executor = shared.executor.clone();
-                SolveContext::new(&arch, &config)
-            });
-            ctx.import_basis(snapshot);
-            shared.cache.checkin(key, ctx);
+            shared
+                .cache
+                .import_basis(cache_key(&arch, &config), snapshot, || {
+                    new_context(shared, &arch, &config)
+                });
             reply(Response::Imported)
         }
         solve_request => {
@@ -564,96 +541,86 @@ fn handle_request<'a>(shared: &'a Shared, text: &str) -> Handled<'a> {
                 }
             }
             let token = InflightToken(&shared.inflight);
-            // The stream verb hands its work (and the token) back to
-            // the connection loop, which owns the socket for the
-            // multi-frame answer.
-            if let Request::SweepStream { manifest, chunks } = solve_request {
-                return Handled::Stream {
-                    manifest: Box::new(manifest),
-                    chunks,
-                    received,
-                    token,
-                };
-            }
-            let _token = token;
-            Handled::Reply(match solve_request {
+            match solve_request {
                 Request::Size {
                     arch,
                     config,
                     budget,
                 } => {
-                    let key = cache_key(&arch, &config);
-                    let cached = shared.cache.checkout(&key);
-                    let warm = cached.is_some();
-                    let mut ctx = cached.unwrap_or_else(|| {
-                        let mut config = config.clone();
-                        config.executor = shared.executor.clone();
-                        SolveContext::new(&arch, &config)
-                    });
-                    let queue_wait_us = received.elapsed().as_micros() as u64;
-                    let solving = Instant::now();
-                    let solved = ctx.size_buffers(budget);
-                    let solve_us = solving.elapsed().as_micros() as u64;
-                    // The context stays warm across failed requests too
-                    // (a bad budget must not cost the next caller their
-                    // warm basis).
-                    shared.cache.checkin(key, ctx);
-                    match solved {
-                        Ok(outcome) => {
-                            shared.cache.record_solve(warm, outcome.lp_iterations);
-                            let trace = Trace {
-                                warm,
-                                pivots: outcome.lp_iterations,
-                                queue_wait_us,
-                                solve_us,
-                            };
-                            Response::for_outcome(&outcome, trace).to_json()
-                        }
-                        Err(e) => Response::Error {
-                            message: e.to_string(),
-                        }
-                        .to_json(),
-                    }
+                    let _token = token;
+                    Handled::Reply(serve_size(shared, &arch, &config, budget, received))
                 }
-                Request::Sweep {
-                    arch,
-                    config,
-                    budgets,
-                } => match run_sweep(shared, &arch, config, budgets, received) {
-                    Ok((report, trace)) => Response::for_report(&report, trace).to_json(),
-                    Err(message) => Response::Error { message }.to_json(),
-                },
-                Request::Frontier {
-                    arch,
-                    config,
-                    budgets,
-                } => match run_sweep(shared, &arch, config, budgets, received) {
-                    Ok((report, trace)) => Response::for_frontier(&report, trace).to_json(),
-                    Err(message) => Response::Error { message }.to_json(),
-                },
-                Request::SweepChunk {
-                    manifest,
-                    chunk,
-                    seed_from_cache,
-                } => match run_chunk(shared, &manifest, chunk, seed_from_cache, received) {
-                    Ok((report, trace)) => Response::Chunk { report, trace }.to_json(),
-                    Err(message) => Response::Error { message }.to_json(),
+                // The stream verb hands its work (and the token) back
+                // to the connection loop, which owns the socket for the
+                // multi-frame answer.
+                Request::SweepStream { manifest, chunks } => Handled::Stream {
+                    manifest: Box::new(manifest),
+                    chunks,
+                    received,
+                    token,
                 },
                 Request::Health
                 | Request::Drain
-                | Request::SweepStream { .. }
                 | Request::SnapshotExport { .. }
                 | Request::SnapshotImport { .. } => unreachable!("handled above"),
-            })
+            }
         }
     }
 }
 
+/// A cold context for (arch, config) that solves on the server's pool.
+fn new_context(shared: &Shared, arch: &Architecture, config: &SizingConfig) -> SolveContext {
+    let mut config = config.clone();
+    config.executor = shared.executor.clone();
+    SolveContext::new(arch, &config)
+}
+
+/// Answers one `size` request from the warm cache (or cold on a miss)
+/// and renders the reply frame.
+fn serve_size(
+    shared: &Shared,
+    arch: &Architecture,
+    config: &SizingConfig,
+    budget: usize,
+    received: Instant,
+) -> String {
+    let key = cache_key(arch, config);
+    let cached = shared.cache.checkout(&key);
+    let warm = cached.is_some();
+    let mut ctx = cached.unwrap_or_else(|| new_context(shared, arch, config));
+    let queue_wait_us = received.elapsed().as_micros() as u64;
+    let solving = Instant::now();
+    let solved = ctx.size_buffers(budget);
+    let solve_us = solving.elapsed().as_micros() as u64;
+    // The context stays warm across failed requests too (a bad budget
+    // must not cost the next caller their warm basis).
+    shared.cache.checkin(key, ctx);
+    match solved {
+        Ok(outcome) => {
+            shared.cache.record_solve(warm, outcome.lp_iterations);
+            let trace = Trace {
+                warm,
+                pivots: outcome.lp_iterations,
+                queue_wait_us,
+                solve_us,
+            };
+            Response::for_outcome(&outcome, trace).to_json()
+        }
+        Err(e) => Response::Error {
+            message: e.to_string(),
+        }
+        .to_json(),
+    }
+}
+
 /// Writes a `sweep_stream` answer: one chunk frame per selected chunk
-/// as it completes, then the terminal summary frame. Chunks run
-/// sequentially on the server's pool (each chunk already fans its
-/// points across workers), so at most one chunk's points are resident
-/// at a time — that residency is the `peak_resident_points` gauge.
+/// as it completes, then the terminal frame (the summary, or an error
+/// in the failing chunk's slot). Chunks run sequentially on the
+/// server's pool (each chunk already fans its points across workers),
+/// so at most one chunk's points are resident at a time — that
+/// residency is the `peak_resident_points` gauge. The in-flight token
+/// is released before the terminal frame is written, so a client that
+/// has read the whole answer never finds its own slot still taken.
 /// Returns `false` when the connection died mid-stream.
 fn stream_sweep(
     shared: &Shared,
@@ -661,95 +628,60 @@ fn stream_sweep(
     manifest: &CampaignManifest,
     chunks: Option<Vec<usize>>,
     received: Instant,
+    token: InflightToken<'_>,
 ) -> bool {
     let selected: Vec<usize> = chunks.unwrap_or_else(|| (0..manifest.chunks.len()).collect());
     let mut frames: u64 = 0;
     let mut points: u64 = 0;
-    for &chunk in &selected {
-        if shared.stopping.load(Ordering::Acquire) {
-            let payload = Response::Error {
-                message: "draining".into(),
+    let last = 'stream: {
+        for &chunk in &selected {
+            if shared.stopping.load(Ordering::Acquire) {
+                break 'stream Response::Error {
+                    message: "draining".into(),
+                };
+            }
+            let queue_wait_us = received.elapsed().as_micros() as u64;
+            let solving = Instant::now();
+            let (report, stats) =
+                match execute_manifest_chunk_traced(manifest, chunk, &shared.pool, None) {
+                    Ok(done) => done,
+                    Err(e) => {
+                        break 'stream Response::Error {
+                            message: e.to_string(),
+                        }
+                    }
+                };
+            shared.cache.record_solve(false, stats.pivots);
+            shared
+                .stream_peak_points
+                .fetch_max(stats.points as u64, Ordering::Relaxed);
+            frames += 1;
+            points += stats.points as u64;
+            let payload = Response::Chunk {
+                report,
+                trace: Trace {
+                    warm: false,
+                    pivots: stats.pivots,
+                    queue_wait_us,
+                    solve_us: solving.elapsed().as_micros() as u64,
+                },
             }
             .to_json();
             shared.count_stream_frame(&payload);
-            return write_frame(conn, &payload).is_ok();
-        }
-        let queue_wait_us = received.elapsed().as_micros() as u64;
-        let solving = Instant::now();
-        let payload = match execute_manifest_chunk_traced(manifest, chunk, &shared.pool, None) {
-            Err(e) => {
-                // An error frame takes the failing chunk's slot and
-                // ends the stream; the client sees it in place of the
-                // terminal summary.
-                let payload = Response::Error {
-                    message: e.to_string(),
-                }
-                .to_json();
-                shared.count_stream_frame(&payload);
-                return write_frame(conn, &payload).is_ok();
+            if write_frame(conn, &payload).is_err() {
+                return false;
             }
-            Ok((report, stats)) => {
-                shared.cache.record_solve(false, stats.pivots);
-                shared
-                    .stream_peak_points
-                    .fetch_max(stats.points as u64, Ordering::Relaxed);
-                frames += 1;
-                points += stats.points as u64;
-                Response::Chunk {
-                    report: report.to_json(),
-                    trace: Trace {
-                        warm: false,
-                        pivots: stats.pivots,
-                        queue_wait_us,
-                        solve_us: solving.elapsed().as_micros() as u64,
-                    },
-                }
-                .to_json()
-            }
-        };
-        shared.count_stream_frame(&payload);
-        if write_frame(conn, &payload).is_err() {
-            return false;
         }
-    }
-    let payload = Response::StreamEnd {
-        config_hash: manifest.config_hash,
-        frames,
-        points,
-    }
-    .to_json();
+        Response::StreamEnd {
+            config_hash: manifest.config_hash,
+            frames,
+            points,
+        }
+    };
+    drop(token);
+    let payload = last.to_json();
     shared.count_stream_frame(&payload);
     write_frame(conn, &payload).is_ok()
-}
-
-/// Runs a warm-chained budget sweep on the server's pool.
-fn run_sweep(
-    shared: &Shared,
-    arch: &socbuf_soc::Architecture,
-    config: socbuf_core::SizingConfig,
-    budgets: Vec<usize>,
-    received: Instant,
-) -> Result<(SweepReport, Trace), String> {
-    let mut sweep = BudgetSweep::new(arch, budgets);
-    sweep.sizing = config;
-    sweep.warm_start = true;
-    let queue_wait_us = received.elapsed().as_micros() as u64;
-    let solving = Instant::now();
-    let report = sweep.run(&shared.pool).map_err(|e| e.to_string())?;
-    let solve_us = solving.elapsed().as_micros() as u64;
-    let pivots: usize = report.points.iter().map(|p| p.lp_iterations).sum();
-    // Campaign chains manage their own warmth; the cache counters only
-    // track `size` contexts, so a sweep records as one cold solve.
-    shared.cache.record_solve(false, pivots);
-    Ok((
-        report,
-        Trace {
-            warm: false,
-            pivots,
-            queue_wait_us,
-            solve_us,
-        },
-    ))
 }
 
 /// The shard-worker mode: binds an ephemeral loopback TCP listener,
@@ -777,58 +709,4 @@ pub fn shard_worker_main(config: ServerConfig) -> io::Result<()> {
     let _ = io::stdin().lock().read_to_end(&mut sink);
     server.shutdown();
     Ok(())
-}
-
-/// The architecture a manifest's cached contexts are keyed under
-/// (random campaigns have none — every seed is its own architecture).
-fn manifest_arch(manifest: &CampaignManifest) -> Option<&socbuf_soc::Architecture> {
-    match &manifest.shape {
-        ManifestShape::Budget { arch, .. } | ManifestShape::Load { arch, .. } => Some(arch),
-        ManifestShape::Random { .. } => None,
-    }
-}
-
-/// Executes one manifest chunk on the server's pool, optionally seeding
-/// its warm chain from the cached context for the manifest's
-/// (architecture, config) key. The cache is only *read* (checkout,
-/// clone the basis, checkin unchanged): chunk chains are private to the
-/// request, so a chunk can never pollute the warmth `size` requests
-/// rely on.
-fn run_chunk(
-    shared: &Shared,
-    manifest: &CampaignManifest,
-    chunk: usize,
-    seed_from_cache: bool,
-    received: Instant,
-) -> Result<(String, Trace), String> {
-    let seed: Option<BasisSnapshot> = if seed_from_cache {
-        manifest_arch(manifest).and_then(|arch| {
-            let key = cache_key(arch, &manifest.config);
-            shared.cache.checkout(&key).and_then(|ctx| {
-                let snapshot = ctx.basis_snapshot().cloned();
-                shared.cache.checkin(key, ctx);
-                snapshot
-            })
-        })
-    } else {
-        None
-    };
-    let warm = seed.is_some();
-    let queue_wait_us = received.elapsed().as_micros() as u64;
-    let solving = Instant::now();
-    // Pivot counts are trace-only (never rendered into the report), so
-    // they ride the traced execution path.
-    let (report, stats) = execute_manifest_chunk_traced(manifest, chunk, &shared.pool, seed)
-        .map_err(|e| e.to_string())?;
-    let solve_us = solving.elapsed().as_micros() as u64;
-    shared.cache.record_solve(warm, stats.pivots);
-    Ok((
-        report.to_json(),
-        Trace {
-            warm,
-            pivots: stats.pivots,
-            queue_wait_us,
-            solve_us,
-        },
-    ))
 }

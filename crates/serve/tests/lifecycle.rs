@@ -12,7 +12,9 @@ use socbuf_serve::{
     Client, ClientConfig, ClientError, Health, RetryPolicy, Server, ServerConfig, ShardFleet,
 };
 use socbuf_soc::templates;
-use socbuf_sweep::{merge_chunk_reports, run_manifest, BudgetSweep, ReportStream, WorkPool};
+use socbuf_sweep::{
+    merge_chunk_reports, run_manifest, BudgetSweep, ReportStream, SweepReport, VecSink, WorkPool,
+};
 
 /// The semantic bytes the server must reproduce for (arch, budget).
 fn expected(arch: &socbuf_soc::Architecture, budget: usize, config: &SizingConfig) -> String {
@@ -152,9 +154,13 @@ fn drain_completes_inflight_requests_and_refuses_new_ones() {
         ..SizingConfig::small()
     };
     let budgets: Vec<usize> = (20..60).collect();
+    let arch = templates::amba();
+    let mut local = BudgetSweep::new(&arch, budgets.clone());
+    local.sizing = heavy_config.clone();
+    let want = local.run(&WorkPool::serial()).unwrap();
 
     let sweeper = {
-        let arch = templates::amba();
+        let arch = arch.clone();
         let config = heavy_config.clone();
         std::thread::spawn(move || {
             let mut client = Client::connect_tcp(addr).unwrap();
@@ -175,12 +181,14 @@ fn drain_completes_inflight_requests_and_refuses_new_ones() {
     }
     // …health still answers and reports the drain…
     assert!(client.health().unwrap().draining);
-    // …and the in-flight sweep completes normally.
+    // …and the in-flight sweep completes normally, with the bytes a
+    // local run renders.
     let report = sweeper
         .join()
         .unwrap()
         .expect("in-flight sweep must complete");
-    assert!(report.report_json.contains("\"points\":[{"));
+    assert_eq!(report.to_csv(), want.to_csv());
+    assert_eq!(report.to_jsonl(), want.to_jsonl());
     server.shutdown();
 }
 
@@ -314,17 +322,6 @@ fn assert_monotone(before: &Health, after: &Health, at: &str) {
     );
     for (name, b, a) in [
         ("size", before.requests.size, after.requests.size),
-        ("sweep", before.requests.sweep, after.requests.sweep),
-        (
-            "frontier",
-            before.requests.frontier,
-            after.requests.frontier,
-        ),
-        (
-            "sweep_chunk",
-            before.requests.sweep_chunk,
-            after.requests.sweep_chunk,
-        ),
         (
             "sweep_stream",
             before.requests.sweep_stream,
@@ -404,7 +401,7 @@ fn health_counters_stay_monotone_across_warm_cold_and_evicting_traffic() {
 
     assert_eq!(h3.requests.size, 3, "three size requests were issued");
     assert_eq!(h3.requests.health, 4, "four health requests were issued");
-    assert_eq!(h3.requests.sweep, 0);
+    assert_eq!(h3.requests.sweep_stream, 0);
     server.shutdown();
 }
 
@@ -477,18 +474,35 @@ fn fleet_fan_out_merges_byte_identically_and_snapshots_transfer_warmth() {
         ],
         RetryPolicy::default(),
     );
-    let reports = fleet.run_manifest(&manifest, false).unwrap();
-    let merged = merge_chunk_reports(&manifest, &reports).unwrap();
+    let (sink, stats) = fleet
+        .run_manifest_to_sink(&manifest, VecSink::new())
+        .unwrap();
+    assert_eq!(stats.chunks, manifest.chunks.len());
+    let merged = SweepReport {
+        kind: serial.kind,
+        points: sink.into_points(),
+    };
     assert_eq!(merged.to_csv(), serial.to_csv());
     assert_eq!(merged.to_jsonl(), serial.to_jsonl());
 
-    // Warmth transfer: a size query warms shard A's cache (chunk
-    // execution runs through the plan, not the cache); a fresh shard
-    // refuses to export, accepts A's snapshot, and then serves a
-    // basis-seeded chunk whose bytes are unchanged.
+    // Warmth transfer: a cold size query warms shard A's cache
+    // (streamed chunks run through the plan, not the cache); a fresh
+    // shard refuses to export, accepts A's snapshot, and answers its
+    // first size at the exporting budget warm, in fewer pivots than
+    // A's cold solve, with the cold pipeline's bytes. Neither snapshot
+    // verb is a solve, so neither counts a cache hit or miss.
+    let budget = 24;
     let mut client_a = Client::connect_tcp(addr_a).unwrap();
-    client_a.size(&arch, &config, 24).unwrap();
+    let cold = client_a.size(&arch, &config, budget).unwrap();
+    assert!(!cold.trace.warm);
+    let before_export = client_a.health().unwrap();
     let snapshot = client_a.snapshot_export(&arch, &config).unwrap();
+    let after_export = client_a.health().unwrap();
+    assert_eq!(
+        (after_export.hits, after_export.misses),
+        (before_export.hits, before_export.misses),
+        "snapshot_export must not count as a cache hit or miss"
+    );
 
     let shard_c = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client_c = Client::connect_tcp(shard_c.tcp_addr().unwrap()).unwrap();
@@ -499,18 +513,31 @@ fn fleet_fan_out_merges_byte_identically_and_snapshots_transfer_warmth() {
         other => panic!("cold shard must refuse to export, got {other:?}"),
     }
     client_c.snapshot_import(&arch, &config, &snapshot).unwrap();
-    let seeded = client_c.sweep_chunk(&manifest, 0, true).unwrap();
-    assert!(seeded.trace.warm, "an imported basis must seed the chunk");
-    // Pivot counts are trace-only — they never reach report bytes — so
-    // a basis-seeded chunk renders byte-identically to an unseeded one.
+    let after_import = client_c.health().unwrap();
     assert_eq!(
-        seeded.report_json,
-        reports[0].to_json(),
+        (after_import.hits, after_import.misses),
+        (0, 0),
+        "snapshot verbs must not count as cache hits or misses"
+    );
+    let seeded = client_c.size(&arch, &config, budget).unwrap();
+    assert!(
+        seeded.trace.warm,
+        "an imported basis must seed the first size"
+    );
+    assert!(
+        seeded.trace.pivots < cold.trace.pivots,
+        "seeded size spent {} pivots, cold spent {}",
+        seeded.trace.pivots,
+        cold.trace.pivots
+    );
+    assert_eq!(
+        seeded.result_json,
+        expected(&arch, budget, &config),
         "basis seeding changed a rendered byte"
     );
     let health_c = client_c.health().unwrap();
     assert_eq!(health_c.requests.snapshot_import, 1);
-    assert_eq!(health_c.requests.sweep_chunk, 1);
+    assert_eq!((health_c.hits, health_c.misses), (1, 0));
 
     shard_a.shutdown();
     shard_b.shutdown();
@@ -629,9 +656,9 @@ fn unix_socket_transport_serves_identically() {
     assert_eq!(again.result_json, reply.result_json);
     assert!(again.trace.warm);
 
-    let frontier = client.frontier(&arch, &config, &[24, 28, 32]).unwrap();
-    assert!(!frontier.indices.is_empty());
-    assert!(frontier.table.contains("budget"));
+    let report = client.sweep(&arch, &config, &[24, 28, 32]).unwrap();
+    assert!(!report.pareto_frontier().is_empty());
+    assert!(report.frontier_table().contains("budget"));
 
     server.shutdown();
     assert!(!path.exists(), "shutdown must remove the socket file");

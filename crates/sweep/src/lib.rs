@@ -69,10 +69,10 @@
 //! chunk-execution closure — and a sizing-only campaign additionally
 //! renders to a [`socbuf_core::wire::CampaignManifest`], the wire
 //! contract a coordinator ships to shard workers. The [`shard`]
-//! module's [`execute_manifest_chunk`] runs one manifest chunk into a
-//! chunk-tagged report and [`merge_chunk_reports`] verifies coverage
-//! and reassembles — byte-identical to the serial run for any shard
-//! partition, because chunk boundaries are part of the campaign's
+//! module's [`execute_manifest_chunk_traced`] runs one manifest chunk
+//! into a chunk-tagged report and [`StreamingReducer`] verifies
+//! coverage and reassembles — byte-identical to the serial run for any
+//! shard partition, because chunk boundaries are part of the campaign's
 //! meaning, not the executor's choice.
 //!
 //! # Streaming
@@ -104,9 +104,8 @@ pub use campaign::{
 pub use pool::{OrderedRun, WorkPool};
 pub use report::{SimSummary, SweepKind, SweepPoint, SweepReport};
 pub use shard::{
-    execute_manifest_chunk, execute_manifest_chunk_traced, merge_chunk_reports, plan_manifest,
-    run_manifest, run_manifest_sink, ChunkStats, MergeError, ReduceStats, ReportSink,
-    StreamingReducer,
+    execute_manifest_chunk_traced, merge_chunk_reports, plan_manifest, run_manifest,
+    run_manifest_sink, ChunkStats, MergeError, ReduceStats, StreamingReducer,
 };
 pub use stream::{
     FileSpool, FrontierIndex, FrontierTracker, MemSpool, PointSink, ReportStream, Spool,

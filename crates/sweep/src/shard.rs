@@ -4,12 +4,14 @@
 //!
 //! * **serially**, via [`run_manifest`] (or the campaign's own `run`) —
 //!   the reference rendering;
-//! * **chunk by chunk**, via [`execute_manifest_chunk`] — the unit a
-//!   shard worker (local process or `socbuf-serve` shard server) runs,
-//!   producing a [`ChunkReport`];
-//! * **merged**, via [`merge_chunk_reports`] — the reducer verifies the
-//!   reports cover the manifest's chunk partition exactly (no gaps, no
-//!   overlaps, no foreign campaigns) and reassembles the points.
+//! * **chunk by chunk**, via [`execute_manifest_chunk_traced`] — the
+//!   unit a shard worker (a `socbuf-serve` server answering
+//!   `sweep_stream`) runs, producing a [`ChunkReport`] plus its
+//!   trace-only [`ChunkStats`];
+//! * **merged**, via [`StreamingReducer`] (or the batch
+//!   [`merge_chunk_reports`]) — the reducer verifies the reports cover
+//!   the manifest's chunk partition exactly (no gaps, no overlaps, no
+//!   foreign campaigns) and reassembles the points.
 //!
 //! The contract pinned by the test-suite and `shard_probe --smoke`:
 //! merged CSV/JSONL bytes equal the serial single-host bytes for *any*
@@ -17,13 +19,11 @@
 //! them warm-chain membership) are declared by the manifest — the
 //! [`ChunkPolicy`] partition by default, or a boundary-aligned
 //! coarsening of it from adaptive re-chunking — never chosen by who
-//! executes the chunk. Pivot counts do vary with chunking and seeding,
-//! which is why they are trace-only and never rendered (see
-//! [`SweepPoint::lp_iterations`]); shards that want them use
-//! [`execute_manifest_chunk_traced`]. Basis-seeded execution (the
-//! `seed` parameter) may still move the solver onto a different
-//! optimal vertex, so nothing on the merge path ever seeds — it is the
-//! shard layer's opt-in warm-transfer mode, measured by pivot counts.
+//! executes the chunk. Pivot counts do vary with chunking, which is why
+//! they are trace-only and never rendered (see
+//! [`SweepPoint::lp_iterations`]). Basis-seeded execution (the `seed`
+//! parameter) may move the solver onto a different optimal vertex, so
+//! nothing on the merge path ever seeds.
 //!
 //! The reducer is streaming at heart: [`StreamingReducer`] ingests
 //! chunk reports in any arrival order, verifies coverage incrementally,
@@ -132,10 +132,10 @@ pub struct ChunkStats {
 
 /// Executes one manifest chunk and wraps the points into the
 /// chunk-tagged wire report a reducer can verify, alongside the
-/// trace-only [`ChunkStats`] (warm-transfer probes and serve traces
-/// report pivots; the wire report never carries them). `seed`
-/// warm-starts the chunk's chain from an imported basis — never use it
-/// on the byte-identity path (see the module docs).
+/// trace-only [`ChunkStats`] (serve traces report pivots; the wire
+/// report never carries them). `seed` warm-starts the chunk's chain
+/// from an imported basis — never use it on the byte-identity path
+/// (see the module docs).
 ///
 /// # Errors
 ///
@@ -175,21 +175,6 @@ pub fn execute_manifest_chunk_traced(
         points,
     };
     Ok((report, stats))
-}
-
-/// [`execute_manifest_chunk_traced`] without the trace — the plain
-/// shard-worker entry point.
-///
-/// # Errors
-///
-/// As for [`execute_manifest_chunk_traced`].
-pub fn execute_manifest_chunk(
-    manifest: &CampaignManifest,
-    chunk: usize,
-    pool: &WorkPool,
-    seed: Option<BasisSnapshot>,
-) -> Result<ChunkReport, SweepError> {
-    execute_manifest_chunk_traced(manifest, chunk, pool, seed).map(|(report, _)| report)
 }
 
 /// Runs the whole campaign locally, streaming points into `sink` in
@@ -346,19 +331,6 @@ pub struct ReduceStats {
     /// the out-of-order window of the arrival order, not the campaign
     /// size.
     pub peak_resident_points: usize,
-}
-
-/// Anything that consumes verified chunk reports — the report-level
-/// analogue of [`PointSink`], used by the serve client's fleet fan-out
-/// to hand arriving stream frames to whichever reducer coordinates the
-/// merge.
-pub trait ReportSink {
-    /// Ingests one chunk report.
-    ///
-    /// # Errors
-    ///
-    /// A [`MergeError`] when the report cannot be accepted.
-    fn accept_report(&mut self, report: &ChunkReport) -> Result<(), MergeError>;
 }
 
 /// The bounded-memory merge reducer: ingests chunk reports in **any**
@@ -521,12 +493,6 @@ impl<S: PointSink> StreamingReducer<S> {
                 peak_resident_points: self.peak_resident,
             },
         ))
-    }
-}
-
-impl<S: PointSink> ReportSink for StreamingReducer<S> {
-    fn accept_report(&mut self, report: &ChunkReport) -> Result<(), MergeError> {
-        self.ingest(report)
     }
 }
 

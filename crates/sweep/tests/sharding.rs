@@ -9,7 +9,7 @@ use socbuf_core::SizingConfig;
 use socbuf_soc::templates;
 use socbuf_sweep::shard::MergeError;
 use socbuf_sweep::{
-    execute_manifest_chunk, merge_chunk_reports, plan_manifest, run_manifest, BudgetSweep,
+    execute_manifest_chunk_traced, merge_chunk_reports, plan_manifest, run_manifest, BudgetSweep,
     LoadSweep, RandomCampaign, SweepError, WorkPool,
 };
 
@@ -30,7 +30,11 @@ fn all_chunks(manifest: &CampaignManifest, order: &[usize]) -> Vec<ChunkReport> 
     let pool = WorkPool::serial();
     order
         .iter()
-        .map(|&c| execute_manifest_chunk(manifest, c, &pool, None).unwrap())
+        .map(|&c| {
+            execute_manifest_chunk_traced(manifest, c, &pool, None)
+                .map(|(r, _)| r)
+                .unwrap()
+        })
         .collect()
 }
 
@@ -67,7 +71,9 @@ fn load_merge_is_byte_identical_across_the_wire() {
     // Chunk reports round-trip through their JSONL wire form too.
     let reports: Vec<ChunkReport> = (0..wire.chunks.len())
         .map(|c| {
-            let r = execute_manifest_chunk(&wire, c, &WorkPool::serial(), None).unwrap();
+            let r = execute_manifest_chunk_traced(&wire, c, &WorkPool::serial(), None)
+                .map(|(r, _)| r)
+                .unwrap();
             ChunkReport::from_jsonl(&r.to_jsonl()).unwrap()
         })
         .collect();

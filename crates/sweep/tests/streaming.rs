@@ -19,9 +19,9 @@ use socbuf_core::wire::{CampaignManifest, ChunkReport, JsonValue};
 use socbuf_core::SizingConfig;
 use socbuf_soc::templates;
 use socbuf_sweep::{
-    execute_manifest_chunk, merge_chunk_reports, rechunk_manifest, run_manifest, run_manifest_sink,
-    AdaptivePolicy, BudgetSweep, FileSpool, LoadSweep, MergeError, RandomCampaign, ReportStream,
-    StreamingReducer, SweepReport, VecSink, WorkPool,
+    execute_manifest_chunk_traced, merge_chunk_reports, rechunk_manifest, run_manifest,
+    run_manifest_sink, AdaptivePolicy, BudgetSweep, FileSpool, LoadSweep, MergeError,
+    RandomCampaign, ReportStream, StreamingReducer, SweepReport, VecSink, WorkPool,
 };
 
 fn small() -> SizingConfig {
@@ -132,7 +132,9 @@ fn merge_fixture() -> &'static MergeFixture {
         let pool = WorkPool::serial();
         let reports = (0..manifest.chunks.len())
             .map(|c| {
-                let r = execute_manifest_chunk(&manifest, c, &pool, None).unwrap();
+                let r = execute_manifest_chunk_traced(&manifest, c, &pool, None)
+                    .map(|(r, _)| r)
+                    .unwrap();
                 ChunkReport::from_jsonl(&r.to_jsonl()).unwrap()
             })
             .collect();
@@ -330,7 +332,9 @@ fn adaptive_rechunk_merges_byte_identical_to_default_chunking() {
     let stream = ReportStream::jsonl(serial.kind, Vec::new());
     let mut reducer = StreamingReducer::new(&rechunked, stream);
     for c in (0..rechunked.chunks.len()).rev() {
-        let report = execute_manifest_chunk(&rechunked, c, &pool, None).unwrap();
+        let report = execute_manifest_chunk_traced(&rechunked, c, &pool, None)
+            .map(|(r, _)| r)
+            .unwrap();
         reducer
             .ingest(&ChunkReport::from_jsonl(&report.to_jsonl()).unwrap())
             .unwrap();

@@ -10,8 +10,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use socbuf_core::wire::{
-    basis_snapshot_from_json, basis_snapshot_to_json, CampaignManifest, ChunkJsonlReader,
-    ChunkJsonlWriter, ChunkLine, ChunkReport, JsonValue, ManifestShape, WireError,
+    basis_snapshot_from_json, basis_snapshot_to_json, CampaignManifest, ChunkReport, JsonValue,
+    ManifestShape, WireError,
 };
 use socbuf_core::{BasisSnapshot, LpEngine, SizingConfig};
 use socbuf_soc::templates::{self, RandomArchParams};
@@ -316,120 +316,6 @@ proptest! {
                 "expected \"{expect}\" in: {msg}"
             ),
             other => panic!("corrupted report accepted: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn incremental_jsonl_codec_agrees_with_the_batch_renderings(
-        config_hash in 0usize..1_000_000_000,
-        kind in 0usize..3,
-        start in 0usize..50,
-        len in 1usize..=5,
-        payloads in vec(0.0f64..10.0, 5),
-    ) {
-        let report = report_from(config_hash as u64, kind, start, &payloads[..len]);
-
-        // Writer side: header line + one line per point concatenates
-        // to exactly the batch `to_jsonl` bytes.
-        let mut writer = ChunkJsonlWriter::new(
-            report.config_hash,
-            &report.kind,
-            report.chunk,
-            report.start,
-            report.end,
-        )
-        .unwrap();
-        let mut doc = writer.header_line();
-        for (i, point) in report.points.iter().enumerate() {
-            prop_assert_eq!(writer.remaining(), report.points.len() - i);
-            doc.push_str(&writer.point_line(point).unwrap());
-        }
-        writer.finish().unwrap();
-        prop_assert_eq!(&doc, &report.to_jsonl());
-
-        // Reader side: line-by-line parse reconstructs the identity
-        // and every point, and agrees the document is complete.
-        let mut reader = ChunkJsonlReader::new();
-        let mut lines = doc.lines();
-        match reader.push_line(lines.next().unwrap()).unwrap() {
-            ChunkLine::Header { config_hash, kind, chunk, start, end } => {
-                prop_assert_eq!(config_hash, report.config_hash);
-                prop_assert_eq!(kind, report.kind.clone());
-                prop_assert_eq!(chunk, report.chunk);
-                prop_assert_eq!(start, report.start);
-                prop_assert_eq!(end, report.end);
-            }
-            other => panic!("first line must be the header, got {other:?}"),
-        }
-        for (i, line) in lines.enumerate() {
-            prop_assert!(!reader.is_complete());
-            match reader.push_line(line).unwrap() {
-                ChunkLine::Point { index, point } => {
-                    prop_assert_eq!(index, report.start + i);
-                    let mut rendered = String::new();
-                    point.push(&mut rendered);
-                    let mut expected = String::new();
-                    report.points[i].push(&mut expected);
-                    prop_assert_eq!(rendered, expected);
-                }
-                other => panic!("point line parsed as {other:?}"),
-            }
-        }
-        prop_assert!(reader.is_complete());
-        reader.finish().unwrap();
-    }
-
-    #[test]
-    fn incremental_codec_rejects_what_the_batch_parser_rejects(
-        config_hash in 0usize..1_000_000_000,
-        kind in 0usize..3,
-        start in 0usize..50,
-        len in 2usize..=5,
-        payloads in vec(0.0f64..10.0, 5),
-        which in 0usize..4,
-    ) {
-        let report = report_from(config_hash as u64, kind, start, &payloads[..len]);
-        let doc = report.to_jsonl();
-        let mut lines: Vec<String> = doc.lines().map(str::to_string).collect();
-        let expect = match which {
-            // Shortfall: the last point line never arrives.
-            0 => {
-                lines.pop();
-                "needs"
-            }
-            // Renumbered point.
-            1 => {
-                lines[1] = lines[1].replacen(
-                    &format!("\"index\":{}", report.start),
-                    &format!("\"index\":{}", report.start + 7000),
-                    1,
-                );
-                "expected"
-            }
-            // A point smuggling the global frontier flag.
-            2 => {
-                lines[1] = lines[1].replacen('}', ",\"frontier\":true}", 1);
-                "frontier"
-            }
-            // One point line too many.
-            _ => {
-                lines.push(lines[len].clone());
-                "needs"
-            }
-        };
-        let mut reader = ChunkJsonlReader::new();
-        let outcome: Result<(), WireError> = (|| {
-            for line in &lines {
-                reader.push_line(line)?;
-            }
-            reader.finish()
-        })();
-        match outcome {
-            Err(WireError::Schema(msg)) => prop_assert!(
-                msg.contains(expect),
-                "expected \"{expect}\" in: {msg}"
-            ),
-            other => panic!("corrupted stream accepted: {other:?}"),
         }
     }
 

@@ -53,9 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cold.outcome.allocation
     );
 
-    let frontier = client.frontier(&arch, &config, &[160, 240, 320])?;
+    let frontier = client
+        .sweep(&arch, &config, &[160, 240, 320])?
+        .frontier_table();
     println!("\n--- Pareto frontier over budgets 160/240/320 ---");
-    print!("{}", frontier.table);
+    print!("{frontier}");
 
     let health = client.health()?;
     println!(
