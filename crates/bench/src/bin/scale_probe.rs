@@ -25,9 +25,10 @@
 //!
 //! Without flags, the full probe drives the same 10⁵-point manifest
 //! through 1/2/4 self-exec'd shard workers with `sweep_stream` frames
-//! merged through the bounded-memory reducer, and writes
-//! `BENCH_scale.json` (wall time, points/sec, and the reducer's
-//! peak-resident-points per shard count).
+//! merged through the bounded-memory reducer, [`REPEATS`] times per
+//! shard count, and writes `BENCH_scale.json`: the host's core count
+//! (`nproc`), the repeat count, the median, minimum and maximum
+//! points/sec, and the reducer's peak-resident-points per shard count.
 
 use std::io::{self, BufRead};
 use std::net::SocketAddr;
@@ -50,6 +51,10 @@ const CHUNK_ITEMS: usize = 256;
 
 /// Workers for the in-process smoke passes.
 const SMOKE_WORKERS: usize = 2;
+
+/// Timed runs per shard count in the full probe; the file records
+/// their median, minimum and maximum.
+const REPEATS: usize = 3;
 
 fn sizing() -> SizingConfig {
     SizingConfig::small()
@@ -228,58 +233,64 @@ fn smoke() -> i32 {
 }
 
 /// Full probe: the 10⁵-point manifest streamed off 1/2/4 shard
-/// processes, merged through the bounded reducer, written to
-/// `BENCH_scale.json`.
+/// processes, merged through the bounded reducer, [`REPEATS`] times per
+/// shard count, written to `BENCH_scale.json` with the host's core
+/// count and the spread of the repeats.
 fn full_probe() {
     let manifest = manifest_of(100_000);
     let points = manifest.items();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "{points} points in {} chunks of {CHUNK_ITEMS}; spawning 4 shard workers",
+        "{points} points in {} chunks of {CHUNK_ITEMS}; spawning 4 shard workers on {nproc} cores",
         manifest.chunks.len()
     );
     let shards: Vec<ShardProcess> = (0..4).map(|_| ShardProcess::spawn()).collect();
 
     let mut rows = Vec::new();
     for n in [1usize, 2, 4] {
-        let mut fleet = ShardFleet::new(
-            shards[..n].iter().map(|s| s.client()).collect(),
-            RetryPolicy::default(),
-        );
-        let spool = FileSpool::in_temp_dir().expect("temp spool");
-        let stream =
-            ReportStream::csv_spooled(socbuf_sweep::SweepKind::Budget, io::sink(), Box::new(spool));
-        let t = Instant::now();
-        let (stream, stats) = fleet
-            .run_manifest_to_sink(&manifest, stream)
-            .unwrap_or_else(|e| {
-                eprintln!("streamed fan-out failed: {e}");
-                std::process::exit(2);
-            });
-        let wall = t.elapsed();
-        stream.finish().expect("stream finish");
-        assert_eq!(stats.points, points, "{n}-shard stream lost points");
-        let rate = points as f64 / wall.as_secs_f64().max(1e-12);
+        let mut rates = Vec::new();
+        let mut peak = 0;
+        for _ in 0..REPEATS {
+            let mut fleet = ShardFleet::new(
+                shards[..n].iter().map(|s| s.client()).collect(),
+                RetryPolicy::default(),
+            );
+            let spool = FileSpool::in_temp_dir().expect("temp spool");
+            let stream = ReportStream::csv_spooled(
+                socbuf_sweep::SweepKind::Budget,
+                io::sink(),
+                Box::new(spool),
+            );
+            let t = Instant::now();
+            let (stream, stats) = fleet
+                .run_manifest_to_sink(&manifest, stream)
+                .unwrap_or_else(|e| {
+                    eprintln!("streamed fan-out failed: {e}");
+                    std::process::exit(2);
+                });
+            let wall = t.elapsed();
+            stream.finish().expect("stream finish");
+            assert_eq!(stats.points, points, "{n}-shard stream lost points");
+            rates.push(points as f64 / wall.as_secs_f64().max(1e-12));
+            peak = peak.max(stats.peak_resident_points);
+        }
+        rates.sort_by(f64::total_cmp);
+        let (min, median, max) = (rates[0], rates[REPEATS / 2], rates[REPEATS - 1]);
         println!(
-            "{n} shard(s): {wall:?}, {rate:.0} points/sec, \
-             {} peak resident points in the reducer",
-            stats.peak_resident_points
+            "{n} shard(s): {median:.0} points/sec median of {REPEATS} \
+             ({min:.0}..{max:.0}), {peak} peak resident points in the reducer"
         );
-        rows.push((n, wall, rate, stats.peak_resident_points));
+        rows.push(format!(
+            "    {{\"shards\": {n}, \"points_per_sec\": {median:.1}, \
+             \"points_per_sec_min\": {min:.1}, \"points_per_sec_max\": {max:.1}, \
+             \"peak_resident_points\": {peak}}}"
+        ));
     }
 
-    let shard_rows: Vec<String> = rows
-        .iter()
-        .map(|(n, wall, rate, peak)| {
-            format!(
-                "    {{\"shards\": {n}, \"wall_ms\": {:.3}, \"points_per_sec\": {rate:.1}, \
-                 \"peak_resident_points\": {peak}}}",
-                wall.as_secs_f64() * 1e3
-            )
-        })
-        .collect();
     let json = format!(
-        "{{\n  \"points\": {points},\n  \"chunk_items\": {CHUNK_ITEMS},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        shard_rows.join(",\n")
+        "{{\n  \"points\": {points},\n  \"chunk_items\": {CHUNK_ITEMS},\n  \
+         \"nproc\": {nproc},\n  \"repeats\": {REPEATS},\n  \"runs\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
     );
     match std::fs::write("BENCH_scale.json", &json) {
         Ok(()) => println!("wrote BENCH_scale.json"),

@@ -92,9 +92,27 @@ pub fn size_buffers(
 /// same perturbation ladder as [`size_buffers`] and falls back to a
 /// cold solve whenever the basis is stale, so a warm-started point
 /// reports the same status and (to solver precision) the same optimal
-/// objective a cold point would — warm starts change pivot counts and
-/// wall time, never answers. The first solve of a fresh context is
+/// objective a cold point would. The first solve of a fresh context is
 /// bit-identical to [`size_buffers`].
+///
+/// The optimal *vertex* can differ, though. Where the LP optimum is a
+/// face rather than a point, a warm re-solve stays on its neighbour's
+/// vertex of that face while a cold solve lands on a budget-dependent
+/// one, so the allocation or the effort curves may differ. Measured:
+///
+/// * a zero-loss plateau, where every allocation that fits the budget
+///   is optimal: `network_processor` at `state_cap` 16 under
+///   [`SizingConfig::default`] has zero loss at every budget in
+///   `149..=537`, and a retarget 160 → 168 allocates differently from
+///   a cold solve at 168 (same loss, shadow price and total);
+/// * a positive loss several effort curves reach: the random
+///   architecture of seed `6506053237450257268` at
+///   [`SizingConfig::small`] retargeted 21 → 29 keeps the cold
+///   allocation but not its efforts, and its loss differs in the last
+///   bits.
+///
+/// `tests/warm_cold_parity.rs` holds the four templates at `state_cap`
+/// 8, 12 and 16 to byte-equality wherever the loss is positive.
 ///
 /// # Examples
 ///
@@ -163,8 +181,9 @@ impl SolveContext {
     /// coordinator process, via the wire codec), so this context's
     /// *first* solve warm-starts instead of running the full cold
     /// two-phase path. A snapshot whose shape does not match the chain's
-    /// LP is detected on import by the solver, which falls back cold —
-    /// seeding changes pivot counts and wall time, never answers.
+    /// LP is detected on import by the solver, which falls back cold.
+    /// Seeding changes pivot counts and wall time, and the answer only
+    /// where the optimal vertex is not unique (see [`SolveContext`]).
     pub fn import_basis(&mut self, snapshot: BasisSnapshot) {
         match &mut self.state {
             Some(state) if state.basis.is_none() => state.basis = Some(snapshot),
@@ -175,7 +194,9 @@ impl SolveContext {
 
     /// Sizes the nominal architecture at `budget`, warm-starting from
     /// the previous solve in this context when one exists. Semantically
-    /// identical to [`size_buffers`]`(arch, budget, config)`.
+    /// identical to [`size_buffers`]`(arch, budget, config)`, except that
+    /// where the optimum is not unique the answer may be another optimal
+    /// vertex (see [`SolveContext`]).
     ///
     /// # Errors
     ///
@@ -188,10 +209,12 @@ impl SolveContext {
     /// Sizes a load-scaled variant of the nominal architecture:
     /// `scaled` must equal `arch.scale_rates(factor, 1.0)` for this
     /// context's architecture. Semantically identical to
-    /// [`size_buffers`]`(scaled, budget, config)` (loss weights of
-    /// multi-source bridge queues may differ at the last ulp — they are
-    /// rate-*ratio* weighted, which a common λ scale cancels only in
-    /// exact arithmetic).
+    /// [`size_buffers`]`(scaled, budget, config)`, with two exceptions:
+    /// loss weights of multi-source bridge queues may differ at the last
+    /// ulp (they are rate-*ratio* weighted, which a common λ scale
+    /// cancels only in exact arithmetic), and where the optimum is not
+    /// unique the answer may be another optimal vertex (see
+    /// [`SolveContext`]).
     ///
     /// # Errors
     ///

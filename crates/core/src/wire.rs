@@ -1951,7 +1951,9 @@ pub fn basis_snapshot_to_json(s: &BasisSnapshot) -> String {
 /// `cols`; `null` entries mark inactive rows. A *shape-plausible but
 /// stale* snapshot still parses — staleness against a concrete LP is
 /// detected at import by the solver, which falls back cold, so a bad
-/// snapshot can cost time but never change an answer.
+/// snapshot can cost time but never change the status or the optimal
+/// objective (where the optimum is not unique the vertex may differ;
+/// see [`crate::SolveContext`]).
 ///
 /// # Errors
 ///
@@ -1989,6 +1991,35 @@ mod tests {
     use super::*;
     use crate::{size_buffers, SizingConfig};
     use socbuf_soc::templates;
+
+    #[test]
+    fn solved_snapshot_round_trips_without_its_factor() {
+        // A solve's snapshot carries its process-local factorization;
+        // the codec neither writes it nor needs it. The decoded snapshot
+        // is equal to the original, re-encodes to the same bytes, and
+        // seeds a chain that answers byte-identically.
+        let arch = templates::figure1();
+        let cfg = SizingConfig::small();
+        let mut solved_ctx = crate::SolveContext::new(&arch, &cfg);
+        solved_ctx.size_buffers(18).unwrap();
+        let solved = solved_ctx.basis_snapshot().unwrap().clone();
+        let json = basis_snapshot_to_json(&solved);
+        let decoded = basis_snapshot_from_json(&JsonValue::parse(&json).unwrap()).unwrap();
+        assert_eq!(decoded, solved);
+        assert_eq!(basis_snapshot_to_json(&decoded), json);
+
+        let mut carried = crate::SolveContext::new(&arch, &cfg);
+        carried.import_basis(solved);
+        let mut imported = crate::SolveContext::new(&arch, &cfg);
+        imported.import_basis(decoded);
+        for budget in [18, 19, 17] {
+            assert_eq!(
+                sizing_outcome_semantic_json(&carried.size_buffers(budget).unwrap()),
+                sizing_outcome_semantic_json(&imported.size_buffers(budget).unwrap()),
+                "budget {budget}"
+            );
+        }
+    }
 
     #[test]
     fn f64_writer_handles_non_finite_and_roundtrips_finite() {

@@ -18,8 +18,8 @@
 //!   the LP solve path uses to decide when to scale).
 //! * **Dense, for small kernels and fallbacks** —
 //!   [`Matrix`] (row-major `f64`) and [`Lu`] (LU with partial pivoting,
-//!   used for general-generator stationary solves, dual recovery and
-//!   determinants),
+//!   used for general-generator stationary solves, the dense tableau
+//!   oracle's recanonicalization and determinants),
 //! * free functions over `&[f64]` slices ([`dot`], [`axpy`], norms).
 //!
 //! # Examples

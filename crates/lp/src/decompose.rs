@@ -532,7 +532,7 @@ fn solve_monolithic(
     let mut sf = build_standard_form(p)?;
     sf.prepare_scaling(options.equilibrate);
     let basic = run_revised(&sf, options)?;
-    let sol = LpSolution::from_basic(p, &sf, &basic, LpEngine::Decomposed)?;
+    let sol = LpSolution::from_basic(p, &sf, &basic, LpEngine::Decomposed);
     Ok((sol, report))
 }
 
@@ -699,7 +699,7 @@ pub fn solve_decomposed(
     for slot in &states {
         basic.iterations += slot.lock().expect("block state poisoned").pivots;
     }
-    let sol = LpSolution::from_basic(p, &joint_sf, &basic, LpEngine::Decomposed)?;
+    let sol = LpSolution::from_basic(p, &joint_sf, &basic, LpEngine::Decomposed);
     Ok((sol, report))
 }
 

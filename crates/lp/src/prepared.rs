@@ -267,7 +267,12 @@ impl PreparedLp {
                     .map(|(sol, _)| sol);
             }
         };
-        LpSolution::from_basic(&self.problem, &self.sf, &basic, options.engine)
+        Ok(LpSolution::from_basic(
+            &self.problem,
+            &self.sf,
+            &basic,
+            options.engine,
+        ))
     }
 
     /// Warm solve from an exported basis (revised and decomposed
@@ -293,7 +298,12 @@ impl PreparedLp {
             }
             LpEngine::Tableau => run_simplex(&self.sf, options)?,
         };
-        LpSolution::from_basic(&self.problem, &self.sf, &basic, options.engine)
+        Ok(LpSolution::from_basic(
+            &self.problem,
+            &self.sf,
+            &basic,
+            options.engine,
+        ))
     }
 
     /// Crate-internal view of the cached standard form (the decomposed

@@ -27,7 +27,9 @@
 //! * **Sparse pricing** — reduced costs are recomputed each iteration
 //!   as `d = c − Aᵀ y` by one pass over the CSR rows whose dual is
 //!   nonzero: `O(nnz)`, never `O(m · n)`. Entering columns are gathered
-//!   from a CSC mirror of `A` (one transpose, built once per solve).
+//!   from the CSC mirror of `A` the standard form keeps (built once at
+//!   assembly and kept in step by every in-place delta, so a warm
+//!   re-solve does not pay a transpose).
 //! * **Anti-cycling** — the same Dantzig-with-Bland-stall-fallback rule
 //!   as the tableau engine: after [`SimplexOptions::stall_switch`]
 //!   consecutive degenerate pivots both the entering *and* the leaving
@@ -52,7 +54,9 @@
 //!
 //! [`LpProblem::solve`]: crate::LpProblem::solve
 
-use socbuf_linalg::{Csr, SparseLu};
+use std::sync::Arc;
+
+use socbuf_linalg::{Csr, LinalgError, SparseLu};
 
 use crate::simplex::{BasicSolution, SimplexOptions};
 use crate::standard_form::StandardForm;
@@ -173,8 +177,19 @@ impl RevisedTolerances {
 /// column counts disagree) or one that has gone stale enough to make
 /// the basis singular is detected on import and the solver falls back
 /// to the cold two-phase path, so warm starts never change what is
-/// solved — only how fast.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// solved — only how fast, and, when the optimum is not unique, which
+/// optimal vertex is reached.
+///
+/// A snapshot exported by a solve also carries that solve's sparse LU
+/// of the basis, together with the exact columns it factored. A warm
+/// import whose gathered basis columns are bitwise those columns reuses
+/// the factorization instead of rebuilding it (a pure memo: the
+/// factorization is deterministic, so the answer is bit-identical to a
+/// refactorization). The factor is process-local: it is not part of the
+/// snapshot's data ([`BasisSnapshot::rows`] and friends), equality
+/// ignores it, and a snapshot rebuilt with [`BasisSnapshot::new`] —
+/// what a wire import produces — simply refactors.
+#[derive(Clone)]
 pub struct BasisSnapshot {
     /// Basic standard-form column per row; `usize::MAX` marks a row
     /// that was inactive (redundant) when the snapshot was taken.
@@ -185,6 +200,26 @@ pub struct BasisSnapshot {
     /// Engine that produced the basis (diagnostic only — either
     /// engine's basis can seed a warm revised solve).
     engine: LpEngine,
+    /// The exporting solve's factorization of this basis, if any.
+    factor: Option<Arc<BasisFactor>>,
+}
+
+impl PartialEq for BasisSnapshot {
+    fn eq(&self, other: &BasisSnapshot) -> bool {
+        self.basis == other.basis && self.cols == other.cols && self.engine == other.engine
+    }
+}
+
+impl Eq for BasisSnapshot {}
+
+impl std::fmt::Debug for BasisSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BasisSnapshot")
+            .field("basis", &self.basis)
+            .field("cols", &self.cols)
+            .field("engine", &self.engine)
+            .finish_non_exhaustive()
+    }
 }
 
 impl BasisSnapshot {
@@ -198,6 +233,20 @@ impl BasisSnapshot {
             basis,
             cols,
             engine,
+            factor: None,
+        }
+    }
+
+    /// A snapshot that also carries the factorization of its basis.
+    pub(crate) fn with_factor(
+        basis: Vec<usize>,
+        cols: usize,
+        engine: LpEngine,
+        factor: Option<Arc<BasisFactor>>,
+    ) -> BasisSnapshot {
+        BasisSnapshot {
+            factor,
+            ..BasisSnapshot::new(basis, cols, engine)
         }
     }
 
@@ -221,6 +270,36 @@ impl BasisSnapshot {
     /// cross-process import.
     pub fn rows(&self) -> &[usize] {
         &self.basis
+    }
+}
+
+/// A sparse LU of a basis matrix together with the exact columns it
+/// factored (position `k` holds the column basic in row `k`, as
+/// `(row, value)` entries). Recorded at every factorization site of the
+/// revised engine and handed to the exported [`BasisSnapshot`], so a
+/// warm re-solve from an unchanged basis skips the refactorization.
+pub(crate) struct BasisFactor {
+    cols: Vec<Vec<(usize, f64)>>,
+    lu: SparseLu,
+}
+
+impl BasisFactor {
+    fn new(m: usize, cols: Vec<Vec<(usize, f64)>>) -> Result<Arc<BasisFactor>, LinalgError> {
+        let lu = SparseLu::factor_cols(m, &cols)?;
+        Ok(Arc::new(BasisFactor { cols, lu }))
+    }
+
+    /// Whether `columns` are bitwise the columns this factor was built
+    /// from: same count, and per column the same row indices and the
+    /// same `f64` bits.
+    fn factored<'c>(&self, columns: impl ExactSizeIterator<Item = ColumnIter<'c>>) -> bool {
+        self.cols.len() == columns.len()
+            && self.cols.iter().zip(columns).all(|(recorded, column)| {
+                recorded
+                    .iter()
+                    .map(|&(i, v)| (i, v.to_bits()))
+                    .eq(column.map(|(i, v)| (i, v.to_bits())))
+            })
     }
 }
 
@@ -276,8 +355,6 @@ impl Eta {
 /// Solver state: problem data (immutable) + basis bookkeeping.
 struct Revised<'a> {
     sf: &'a StandardForm,
-    /// CSC mirror of `sf.a` (row `j` of `at` = column `j` of `A`).
-    at: Csr,
     /// Working right-hand side (perturbation included).
     b: Vec<f64>,
     /// `basis[i]` — standard-form column basic in row `i`; artificial
@@ -289,9 +366,9 @@ struct Revised<'a> {
     banned: Vec<bool>,
     /// `in_basis[j]` — whether column `j` is currently basic.
     in_basis: Vec<bool>,
-    /// Fresh sparse LU of the basis, plus the eta file accumulated
-    /// since.
-    lu: SparseLu,
+    /// Fresh sparse LU of the basis (with the columns it factored),
+    /// plus the eta file accumulated since.
+    factor: Arc<BasisFactor>,
     etas: Vec<Eta>,
     /// Row of each artificial column: column `n_sf + k` is the unit
     /// vector `e_{art_rows[k]}`.
@@ -310,6 +387,10 @@ struct Revised<'a> {
     /// final-basis artificial-mass check stays sharp without outlawing
     /// the escape hatch.
     art_allowance: f64,
+    /// Row duals `y = B⁻ᵀ c_B` of the phase-2 costs, set when phase 2
+    /// reports optimal off a fresh factorization and cleared by any
+    /// later basis or factorization change.
+    duals: Option<Vec<f64>>,
 }
 
 enum Phase {
@@ -353,7 +434,7 @@ impl<'a> Revised<'a> {
         }
 
         let identity: Vec<Vec<(usize, f64)>> = (0..m).map(|i| vec![(i, 1.0)]).collect();
-        let lu = SparseLu::factor_cols(m, &identity)
+        let factor = BasisFactor::new(m, identity)
             .map_err(|e| LpError::InvalidModel(format!("identity factorization failed: {e}")))?;
 
         let refactor_interval = if options.refactor_interval == 0 {
@@ -368,13 +449,12 @@ impl<'a> Revised<'a> {
         // B₀ = I, so x_B = b directly; the identity LU above matches.
         Ok(Revised {
             sf,
-            at: sf.a.transpose(),
             xb: b.clone(),
             b,
             basis,
             banned: vec![false; total],
             in_basis,
-            lu,
+            factor,
             etas: Vec::new(),
             art_rows: sf.artificial_rows(),
             n_sf,
@@ -383,15 +463,18 @@ impl<'a> Revised<'a> {
             iterations: 0,
             perturbation: options.perturbation,
             art_allowance: 0.0,
+            duals: None,
         })
     }
 
     /// Rebuilds solver state around a previously exported basis:
     /// re-gathers the snapshot's basis columns from the (possibly
     /// mutated-in-place) standard form, refactorizes them through
-    /// [`SparseLu`] and derives `x_B = B⁻¹ b` from scratch. Rows the
-    /// snapshot marked redundant get a guarded artificial back (the
-    /// θ = 0 rule keeps it pinned at zero).
+    /// [`SparseLu`] — or reuses the snapshot's recorded factorization
+    /// when the gathered columns are bitwise the ones it factored — and
+    /// derives `x_B = B⁻¹ b` from scratch. Rows the snapshot marked
+    /// redundant get a guarded artificial back (the θ = 0 rule keeps it
+    /// pinned at zero).
     ///
     /// Returns `Ok(None)` when the snapshot is unusable — shape
     /// mismatch, out-of-range or duplicated columns, or a basis matrix
@@ -430,23 +513,20 @@ impl<'a> Revised<'a> {
             in_basis[b] = true;
         }
 
-        let at = sf.a.transpose();
-        let cols: Vec<Vec<(usize, f64)>> = basis
-            .iter()
-            .map(|&c| {
-                if c < n_sf {
-                    let (idx, vals) = at.row(c);
-                    idx.iter().copied().zip(vals.iter().copied()).collect()
-                } else {
-                    vec![(art_rows[c - n_sf], 1.0)]
-                }
-            })
-            .collect();
-        let Ok(lu) = SparseLu::factor_cols(m, &cols) else {
-            return Ok(None);
+        let columns = || {
+            basis
+                .iter()
+                .map(|&c| basis_column(&sf.at, &art_rows, n_sf, c))
+        };
+        let factor = match &snapshot.factor {
+            Some(factor) if factor.factored(columns()) => Arc::clone(factor),
+            _ => match BasisFactor::new(m, columns().map(Iterator::collect).collect()) {
+                Ok(factor) => factor,
+                Err(_) => return Ok(None),
+            },
         };
         let b = sf.perturbed_b(options.perturbation);
-        let Ok(mut xb) = lu.solve(&b) else {
+        let Ok(mut xb) = factor.lu.solve(&b) else {
             return Ok(None);
         };
         let tols = RevisedTolerances::derive(options.tolerance);
@@ -462,7 +542,6 @@ impl<'a> Revised<'a> {
         };
         Ok(Some(Revised {
             sf,
-            at,
             b,
             basis,
             xb,
@@ -470,7 +549,7 @@ impl<'a> Revised<'a> {
             // (they are unpriced anyway); structural columns all may.
             banned: vec![false; total],
             in_basis,
-            lu,
+            factor,
             etas: Vec::new(),
             art_rows,
             n_sf,
@@ -479,6 +558,7 @@ impl<'a> Revised<'a> {
             iterations: 0,
             perturbation: options.perturbation,
             art_allowance: 0.0,
+            duals: None,
         }))
     }
 
@@ -515,18 +595,13 @@ impl<'a> Revised<'a> {
 
     /// Column `j` of the standard form + artificials as sparse terms.
     fn column(&self, j: usize) -> ColumnIter<'_> {
-        if j < self.n_sf {
-            let (idx, vals) = self.at.row(j);
-            ColumnIter::Structural { idx, vals, pos: 0 }
-        } else {
-            // Artificial column = the unit vector of its row.
-            ColumnIter::Artificial(Some(self.art_rows[j - self.n_sf]))
-        }
+        basis_column(&self.sf.at, &self.art_rows, self.n_sf, j)
     }
 
     /// `B⁻¹ v` — one LU solve plus the eta sweep.
     fn ftran(&self, v: &[f64]) -> Result<Vec<f64>, LpError> {
         let mut x = self
+            .factor
             .lu
             .solve(v)
             .map_err(|e| LpError::InvalidModel(format!("FTRAN failed: {e}")))?;
@@ -542,7 +617,8 @@ impl<'a> Revised<'a> {
         for eta in self.etas.iter().rev() {
             eta.btran(&mut x);
         }
-        self.lu
+        self.factor
+            .lu
             .solve_transpose(&x)
             .map_err(|e| LpError::InvalidModel(format!("BTRAN failed: {e}")))
     }
@@ -556,9 +632,10 @@ impl<'a> Revised<'a> {
             .iter()
             .map(|&col| self.column(col).collect())
             .collect();
-        self.lu = SparseLu::factor_cols(m, &cols)
+        self.factor = BasisFactor::new(m, cols)
             .map_err(|e| LpError::InvalidModel(format!("basis refactorization failed: {e}")))?;
         self.etas.clear();
+        self.duals = None;
         self.xb = self.ftran(&self.b.clone())?;
         // Feasibility-preserving cleanup of factorization dust.
         let dust = self.tols.feasibility_dust;
@@ -731,6 +808,7 @@ impl<'a> Revised<'a> {
         }
         self.basis[r] = q;
         self.in_basis[q] = true;
+        self.duals = None;
         self.etas.push(Eta::from_dense(r, &w));
         self.iterations += 1;
         if self.etas.len() >= self.refactor_interval {
@@ -770,7 +848,7 @@ impl<'a> Revised<'a> {
         options: &SimplexOptions,
         max_iterations: usize,
     ) -> Result<PhaseOutcome, LpError> {
-        let guard = matches!(phase, Phase::Two);
+        let phase_two = matches!(phase, Phase::Two);
         let mut stall = 0usize;
         let mut reperturbs = 0usize;
         loop {
@@ -791,7 +869,9 @@ impl<'a> Revised<'a> {
             let Some(q) = enter else {
                 // Eta-file drift can fake optimality; only a verdict from
                 // a fresh factorization is trusted.
-                if !self.etas.is_empty() {
+                let y = if self.etas.is_empty() {
+                    y
+                } else {
                     self.refactorize()?;
                     let y = self.btran(&self.basic_costs(&phase))?;
                     let d = self.reduced_costs(&y, &phase);
@@ -801,22 +881,28 @@ impl<'a> Revised<'a> {
                         self.enter_dantzig(&d)
                     } {
                         // Not optimal after all — take the pivot now.
-                        if self.step(q, stalled, guard)?.is_none() {
+                        if self.step(q, stalled, phase_two)?.is_none() {
                             return Ok(PhaseOutcome::Unbounded(q));
                         }
                         stall += 1; // conservatively treat as degenerate
                         continue;
                     }
+                    y
+                };
+                // The optimal BTRAN of the phase-2 costs off a fresh
+                // factorization *is* the dual solution: keep it.
+                if phase_two {
+                    self.duals = Some(y);
                 }
                 return Ok(PhaseOutcome::Optimal);
             };
-            let Some(degenerate) = self.step(q, stalled, guard)? else {
+            let Some(degenerate) = self.step(q, stalled, phase_two)? else {
                 // Unbounded ray: trust it only from a fresh basis.
                 if self.etas.is_empty() {
                     return Ok(PhaseOutcome::Unbounded(q));
                 }
                 self.refactorize()?;
-                if self.step(q, stalled, guard)?.is_none() {
+                if self.step(q, stalled, phase_two)?.is_none() {
                     return Ok(PhaseOutcome::Unbounded(q));
                 }
                 stall += 1;
@@ -1029,8 +1115,15 @@ impl<'a> Revised<'a> {
 
     /// Extracts the solution in the tableau engine's `BasicSolution`
     /// shape: rows still owned by an artificial are reported inactive
-    /// (they are redundant), everything else maps one to one.
-    fn into_basic(self) -> BasicSolution {
+    /// (they are redundant, and their dual is exactly 0), everything
+    /// else maps one to one. The duals are those of phase 2's final
+    /// BTRAN; only when a dual repair moved the basis after it (and then
+    /// gave up) are they solved again here for the final basis.
+    fn into_basic(mut self) -> Result<BasicSolution, LpError> {
+        let mut duals = match self.duals.take() {
+            Some(y) => y,
+            None => self.btran(&self.basic_costs(&Phase::Two))?,
+        };
         let m = self.m();
         let mut x = vec![0.0; self.n_sf];
         let mut basis = vec![usize::MAX; m];
@@ -1041,15 +1134,58 @@ impl<'a> Revised<'a> {
                 x[self.basis[i]] = self.xb[i].max(0.0);
             } else {
                 row_active[i] = false;
+                duals[i] = 0.0;
             }
         }
-        BasicSolution {
+        Ok(BasicSolution {
             x,
             basis,
             row_active,
             iterations: self.iterations,
-        }
+            duals,
+            factor: Some(self.factor),
+        })
     }
+}
+
+/// Column `j` of the standard form (`at` is its CSC mirror) extended by
+/// the artificial columns `n_sf..`, the `k`-th being the unit vector of
+/// row `art_rows[k]`.
+fn basis_column<'a>(at: &'a Csr, art_rows: &[usize], n_sf: usize, j: usize) -> ColumnIter<'a> {
+    if j < n_sf {
+        let (idx, vals) = at.row(j);
+        ColumnIter::Structural { idx, vals, pos: 0 }
+    } else {
+        ColumnIter::Artificial(Some(art_rows[j - n_sf]))
+    }
+}
+
+/// Duals of a final basis that kept no factorization of its own (the
+/// tableau engine), so every engine hands
+/// [`crate::LpSolution::from_basic`] duals the same way: the basis is
+/// imported as a warm snapshot would be — an inactive row takes back the
+/// artificial, whose dual is exactly 0 — and phase 2's costs are BTRANed
+/// through its factorization, which is returned for the exported
+/// snapshot. `basis[i]` is the standard-form column basic in row `i`.
+pub(crate) fn final_basis_duals(
+    sf: &StandardForm,
+    options: &SimplexOptions,
+    basis: &[usize],
+    row_active: &[bool],
+) -> Result<(Vec<f64>, Option<Arc<BasisFactor>>), LpError> {
+    if sf.a.rows() == 0 {
+        return Ok((Vec::new(), None));
+    }
+    let rows = basis
+        .iter()
+        .zip(row_active)
+        .map(|(&col, &active)| if active { col } else { usize::MAX })
+        .collect();
+    let snapshot = BasisSnapshot::new(rows, sf.a.cols(), LpEngine::Tableau);
+    let solver = Revised::from_snapshot(sf, options, &snapshot)?
+        .ok_or_else(|| LpError::InvalidModel("final basis is numerically singular".into()))?;
+    let basic = solver.into_basic()?;
+    Ok((basic.duals, basic.factor))
 }
 
 /// Sparse column access that treats artificial columns as unit vectors.
@@ -1101,6 +1237,8 @@ pub(crate) fn run_revised(
             basis: Vec::new(),
             row_active: Vec::new(),
             iterations: 0,
+            duals: Vec::new(),
+            factor: None,
         });
     }
     let n_art: usize = sf.needs_artificial.iter().filter(|&&x| x).count();
@@ -1199,7 +1337,7 @@ fn finish_phase_two(
             if residual > bound {
                 return Err(LpError::ResidualArtificial { residual, bound });
             }
-            Ok(solver.into_basic())
+            solver.into_basic()
         }
         PhaseOutcome::Unbounded(col) => Err(LpError::Unbounded { column: col }),
     }
@@ -1351,6 +1489,85 @@ mod tests {
         assert!(basic.x[1].abs() < 1e-9);
         // One of the duplicate rows must be parked as redundant.
         assert_eq!(basic.row_active.iter().filter(|&&a| !a).count(), 1);
+    }
+
+    /// `blocks` two-variable blocks under one budget row — the shape of
+    /// a sizing LP's budget chain: max Σ (3x_k + 5y_k) s.t.
+    /// x_k + y_k ≤ 4, Σ (x_k + 2y_k) ≤ budget.
+    fn budget_lp(blocks: usize, budget: f64) -> (LpProblem, crate::RowId, Vec<crate::VarId>) {
+        let mut p = LpProblem::new(Sense::Maximize);
+        let mut coupling = Vec::new();
+        let mut vars = Vec::new();
+        for k in 0..blocks {
+            let x = p.add_var(format!("x{k}"), 3.0);
+            let y = p.add_var(format!("y{k}"), 5.0);
+            p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 4.0)
+                .unwrap();
+            coupling.extend([(x, 1.0), (y, 2.0)]);
+            vars.extend([x, y]);
+        }
+        let row = p.add_constraint(coupling, Relation::Le, budget).unwrap();
+        (p, row, vars)
+    }
+
+    fn factor_of(s: &BasisSnapshot) -> &Arc<BasisFactor> {
+        s.factor
+            .as_ref()
+            .expect("an exported snapshot carries its factor")
+    }
+
+    #[test]
+    fn zero_pivot_budget_chain_reuses_the_snapshot_factor() {
+        let (p, budget_row, vars) = budget_lp(3, 13.0);
+        let mut prepared = crate::PreparedLp::new(p).unwrap();
+        let opts = SimplexOptions::default();
+        let mut snapshot = prepared.solve_with(&opts).unwrap().basis_snapshot();
+        for budget in [13.25, 13.5, 13.25, 13.0] {
+            prepared.set_rhs(budget_row, budget).unwrap();
+            let warm = prepared.solve_warm(&opts, &snapshot).unwrap();
+            assert_eq!(warm.iterations(), 0, "budget {budget}: the chain pivoted");
+            let next = warm.basis_snapshot();
+            assert!(
+                Arc::ptr_eq(factor_of(&snapshot), factor_of(&next)),
+                "budget {budget}: a 0-pivot warm solve refactored an unchanged basis"
+            );
+            snapshot = next;
+        }
+
+        // Rebuilt from its public parts — what a wire import produces —
+        // a snapshot is equal (equality ignores the factor) but carries
+        // none, so importing it refactors.
+        let rebuilt = BasisSnapshot::new(
+            snapshot.rows().to_vec(),
+            snapshot.num_cols(),
+            snapshot.engine(),
+        );
+        assert_eq!(rebuilt, snapshot);
+        assert!(rebuilt.factor.is_none());
+        assert_eq!(format!("{rebuilt:?}"), format!("{snapshot:?}"));
+        let refactored = prepared.solve_warm(&opts, &rebuilt).unwrap();
+        assert!(!Arc::ptr_eq(
+            factor_of(&snapshot),
+            factor_of(&refactored.basis_snapshot())
+        ));
+
+        // An in-place coefficient change alters basic columns: the
+        // recorded factor no longer matches and must not be reused.
+        let terms: Vec<_> = vars
+            .iter()
+            .enumerate()
+            .map(|(j, &v)| (v, if j % 2 == 0 { 1.0 } else { 2.5 }))
+            .collect();
+        prepared.set_row_coeffs(budget_row, &terms).unwrap();
+        let warm = prepared.solve_warm(&opts, &snapshot).unwrap();
+        assert!(!Arc::ptr_eq(
+            factor_of(&snapshot),
+            factor_of(&warm.basis_snapshot())
+        ));
+        let cold = prepared.solve_with(&opts).unwrap();
+        assert!(
+            (warm.objective() - cold.objective()).abs() <= 1e-9 * (1.0 + cold.objective().abs())
+        );
     }
 
     #[test]

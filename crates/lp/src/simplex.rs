@@ -13,10 +13,12 @@
 //! after a run of degenerate pivots (guaranteeing termination), switching
 //! back once progress resumes.
 
+use std::sync::Arc;
+
 use socbuf_linalg::{Lu, Matrix};
 
 use crate::decompose::ExecutorHandle;
-use crate::revised::{run_revised, LpEngine};
+use crate::revised::{final_basis_duals, run_revised, BasisFactor, LpEngine};
 use crate::solution::LpSolution;
 use crate::standard_form::{build_standard_form, StandardForm};
 use crate::LpError;
@@ -131,6 +133,12 @@ pub(crate) struct BasicSolution {
     pub row_active: Vec<bool>,
     /// Total pivot count over both phases.
     pub iterations: usize,
+    /// Row duals `ỹ` of the final basis (`Bᵀ ỹ = c_B` over the phase-2
+    /// costs, in the form's scaled units), exactly 0 on inactive rows.
+    pub duals: Vec<f64>,
+    /// Sparse LU of the final basis, handed on to the exported snapshot
+    /// (`None` only for a row-free form).
+    pub factor: Option<Arc<BasisFactor>>,
 }
 
 struct Tableau {
@@ -751,11 +759,14 @@ pub(crate) fn run_simplex(
         return Err(LpError::ResidualArtificial { residual, bound });
     }
 
+    let (duals, factor) = final_basis_duals(sf, options, &t.basis, &t.active)?;
     Ok(BasicSolution {
         x,
         basis: t.basis,
         row_active: t.active,
         iterations,
+        duals,
+        factor,
     })
 }
 
@@ -775,7 +786,7 @@ pub(crate) fn solve_standard(
         LpEngine::Tableau => run_simplex(&sf, options)?,
         LpEngine::Decomposed => unreachable!("dispatched above"),
     };
-    LpSolution::from_basic(p, &sf, &basic, options.engine)
+    Ok(LpSolution::from_basic(p, &sf, &basic, options.engine))
 }
 
 #[cfg(test)]

@@ -1,10 +1,20 @@
-use socbuf_linalg::{Lu, Matrix};
+//! The user-facing optimal solution, extracted from an engine's final
+//! basis.
+//!
+//! Extraction does no linear algebra of its own. Every engine hands over
+//! the scaled row duals `ỹ` of its final basis, solved through the
+//! sparse LU it holds of that basis (the revised engine's last phase-2
+//! BTRAN; the tableau engine factors its final basis once). What is
+//! left here is `O(n + nnz)`: unscale the primal values and duals,
+//! accumulate the reduced costs against the user rows, flag the basic
+//! variables, and normalize the exported [`BasisSnapshot`] — which
+//! keeps the engine's factorization so a warm re-solve from the same
+//! basis can skip refactoring it.
 
 use crate::problem::{LpProblem, RowId, VarId};
 use crate::revised::{BasisSnapshot, LpEngine};
 use crate::simplex::BasicSolution;
 use crate::standard_form::{ScalingStats, StandardForm};
-use crate::LpError;
 
 /// An optimal basic solution of an [`LpProblem`].
 ///
@@ -41,7 +51,7 @@ impl LpSolution {
         sf: &StandardForm,
         basic: &BasicSolution,
         engine: LpEngine,
-    ) -> Result<LpSolution, LpError> {
+    ) -> LpSolution {
         let n = p.num_vars();
         // Unscaling contract (see `standard_form`'s module docs): the
         // engines solved the equilibrated form, so primal values are
@@ -53,43 +63,10 @@ impl LpSolution {
         }
         let objective: f64 = p.obj_vec().iter().zip(&values).map(|(c, x)| c * x).sum();
 
-        // --- Recover duals from the final basis: solve Bᵀ y = c_B. ----
-        // The basis matrix is gathered from the CSR standard form by one
-        // row sweep (scatter entries whose column is basic) instead of
-        // dense column probing.
-        let active_rows: Vec<usize> = (0..sf.a.rows()).filter(|&i| basic.row_active[i]).collect();
-        let m_act = active_rows.len();
-        let mut y_by_row = vec![0.0; sf.a.rows()];
-        if m_act > 0 {
-            // Map standard-form column -> position of the basic column in
-            // the (active) basis matrix.
-            let mut col_pos = vec![usize::MAX; sf.a.cols()];
-            let mut cb = vec![0.0; m_act];
-            for (pos_col, &i) in active_rows.iter().enumerate() {
-                let col = basic.basis[i];
-                debug_assert!(col < sf.a.cols(), "artificial left in active basis");
-                col_pos[col] = pos_col;
-                cb[pos_col] = sf.c[col];
-            }
-            let mut bmat = Matrix::zeros(m_act, m_act);
-            for (pos_row, &r) in active_rows.iter().enumerate() {
-                for (col, v) in sf.a.iter_row(r) {
-                    let pos_col = col_pos[col];
-                    if pos_col != usize::MAX {
-                        bmat[(pos_row, pos_col)] = v;
-                    }
-                }
-            }
-            let lu = Lu::factor(&bmat).map_err(|e| {
-                LpError::InvalidModel(format!("final basis is numerically singular: {e}"))
-            })?;
-            let y = lu
-                .solve_transpose(&cb)
-                .map_err(|e| LpError::InvalidModel(format!("dual solve failed: {e}")))?;
-            for (pos, &i) in active_rows.iter().enumerate() {
-                y_by_row[i] = y[pos];
-            }
-        }
+        // The engines hand over the scaled row duals ỹ of their final
+        // basis (one BTRAN of the phase-2 basic costs through its sparse
+        // LU, exactly 0 on inactive rows).
+        let y_by_row = &basic.duals;
 
         // User-row duals (min-form), then flip for Maximize. `y_by_row`
         // itself stays in scaled units — the reduced-cost accumulation
@@ -145,7 +122,7 @@ impl LpSolution {
             })
             .collect();
 
-        Ok(LpSolution {
+        LpSolution {
             values,
             objective,
             duals,
@@ -153,9 +130,14 @@ impl LpSolution {
             basic: basic_flags,
             iterations: basic.iterations,
             engine,
-            snapshot: BasisSnapshot::new(snapshot_basis, sf.a.cols(), engine),
+            snapshot: BasisSnapshot::with_factor(
+                snapshot_basis,
+                sf.a.cols(),
+                engine,
+                basic.factor.clone(),
+            ),
             scaling: sf.scaling_stats,
-        })
+        }
     }
 
     /// Optimal objective value, in the problem's own sense.

@@ -24,6 +24,10 @@
 //! * row duals: `y_i = r_i · ỹ_i`,
 //! * reduced costs: `d_j = d̃_j / c_j`.
 //!
+//! The row duals arrive from the engines in scaled units (each engine
+//! solves its final basis through a sparse LU); extraction only applies
+//! the factors above.
+//!
 //! Scaling never touches the combinatorial structure — the sparsity
 //! pattern, the slack/artificial layout and therefore every
 //! `BasisSnapshot` stay valid verbatim — and in-place parametric deltas
@@ -32,6 +36,16 @@
 //! [`StandardForm::set_cost_in_place`]) rescale their inputs with the
 //! cached factors, so the warm-start path composes with equilibration
 //! transparently.
+//!
+//! # The CSC mirror
+//!
+//! The form also keeps `at`, the transpose of `a`, built once at
+//! assembly (and again after scaling) and written through by
+//! [`StandardForm::update_row_values_in_place`]. The revised engine
+//! gathers its entering and basis columns from it, so a warm re-solve
+//! on a cached form pays no transpose, and a basis column it gathers is
+//! bitwise what the same column of `a` holds — the comparison a
+//! snapshot's recorded factorization is reused on.
 
 use socbuf_linalg::scaling::{
     geometric_mean_scaling, log_deviation, scaled_log_deviation, value_spread,
@@ -90,6 +104,10 @@ impl ScalingStats {
 #[derive(Debug)]
 pub(crate) struct StandardForm {
     pub a: Csr,
+    /// CSC mirror of `a` (row `j` of `at` is column `j` of `a`), kept in
+    /// step with `a` by scaling and every in-place delta — the revised
+    /// engine gathers entering and basis columns from it.
+    pub at: Csr,
     pub b: Vec<f64>,
     pub c: Vec<f64>,
     /// `+1.0` if the standard-form row kept the user's orientation,
@@ -169,6 +187,7 @@ impl StandardForm {
         self.a
             .scale_rows_cols(&eq.row, &eq.col)
             .expect("factor vectors match the form's shape");
+        self.at = self.a.transpose();
         for (bi, ri) in self.b.iter_mut().zip(&eq.row) {
             *bi *= ri;
         }
@@ -270,6 +289,13 @@ impl StandardForm {
         {
             let factor = scale.as_ref().map_or(1.0, |s| s.row[row] * s.col[c]);
             *v = sign * coeff * factor;
+            // Mirror the entry into column `c` of the CSC copy (its row
+            // indices are sorted, and the pattern is unchanged).
+            let (rows, at_vals) = self.at.row_mut(c);
+            let k = rows
+                .binary_search(&row)
+                .expect("the CSC mirror shares the row's pattern");
+            at_vals[k] = *v;
         }
         Ok(())
     }
@@ -433,8 +459,10 @@ pub(crate) fn build_standard_form(p: &LpProblem) -> Result<StandardForm, LpError
         c[j] = if negated_obj { -cj } else { cj };
     }
 
+    let a = builder.finish();
     Ok(StandardForm {
-        a: builder.finish(),
+        at: a.transpose(),
+        a,
         b,
         c,
         row_sign: o.row_sign,
@@ -593,6 +621,10 @@ mod tests {
         let mut sf = build_standard_form(&p).unwrap();
         sf.prepare_scaling(true);
         assert!(sf.scaling_stats.applied);
+        assert!(
+            sf.at == sf.a.transpose(),
+            "CSC mirror out of step after scaling"
+        );
         let (r0, c0, c1) = (sf.row_scale(0), sf.col_scale(0), sf.col_scale(1));
         sf.set_rhs_in_place(0, 7.0).unwrap();
         assert_eq!(sf.b[0], 7.0 * r0);
@@ -600,6 +632,10 @@ mod tests {
             .unwrap();
         assert_eq!(sf.a.get(0, 0), 2e-4 * r0 * c0);
         assert_eq!(sf.a.get(0, 1), 4e4 * r0 * c1);
+        assert!(
+            sf.at == sf.a.transpose(),
+            "CSC mirror out of step after a delta"
+        );
         sf.set_cost_in_place(1, 3.0);
         assert_eq!(sf.c[1], 3.0 * c1);
     }

@@ -14,9 +14,19 @@
 //! (feasible-by-construction, mixed-relation with all three outcomes
 //! possible, and massively degenerate), plus the named pathologies —
 //! Beale's cycling LP, the Klee–Minty cube and an unbounded ray.
+//!
+//! Every optimal solution on the way is also held to the optimality
+//! certificate, and its duals and reduced costs to an independent dense
+//! recovery from its own final basis (`support/dense_duals.rs`).
 
+#[path = "support/dense_duals.rs"]
+mod dense_duals;
+
+use dense_duals::assert_duals_match_dense;
 use proptest::prelude::*;
-use socbuf_lp::{verify_optimality, LpEngine, LpError, LpProblem, Relation, Sense, SimplexOptions};
+use socbuf_lp::{
+    verify_optimality, LpEngine, LpError, LpProblem, LpSolution, Relation, Sense, SimplexOptions,
+};
 
 /// Outcome of one engine run, reduced to what the oracle compares.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,11 +38,26 @@ enum Status {
 
 fn run(p: &LpProblem, engine: LpEngine) -> Result<Status, LpError> {
     match p.solve_with(&SimplexOptions::default().with_engine(engine)) {
-        Ok(sol) => Ok(Status::Optimal(sol.objective())),
+        Ok(sol) => {
+            assert_optimal_solution(&engine.to_string(), p, &sol);
+            Ok(Status::Optimal(sol.objective()))
+        }
         Err(LpError::Infeasible { .. }) => Ok(Status::Infeasible),
         Err(LpError::Unbounded { .. }) => Ok(Status::Unbounded),
         Err(e) => Err(e),
     }
+}
+
+/// An optimal solution's duals and reduced costs match the dense
+/// recovery from its final basis to 1e-9 relative, and it passes the
+/// optimality certificate.
+fn assert_optimal_solution(label: &str, p: &LpProblem, sol: &LpSolution) {
+    assert_duals_match_dense(label, p, sol, 1e-9);
+    let report = verify_optimality(p, sol, 1e-5);
+    assert!(
+        report.is_optimal(),
+        "{label} failed certificate: {report:?}"
+    );
 }
 
 /// Asserts every selectable engine ([`LpEngine::ALL`]) agrees on
@@ -150,12 +175,50 @@ fn perturbed_runs_still_agree() {
     let a = p.solve_with(&opts).unwrap();
     for engine in LpEngine::ALL {
         let b = p.solve_with(&opts.with_engine(engine)).unwrap();
+        assert_optimal_solution(&format!("perturbed {engine}"), &p, &b);
         assert!(
             (a.objective() - b.objective()).abs() <= 1e-9 * (1.0 + a.objective().abs()),
             "revised {} vs {engine} {}",
             a.objective(),
             b.objective()
         );
+    }
+}
+
+#[test]
+fn redundant_row_gets_an_exact_zero_dual() {
+    // A duplicated equality leaves one copy inactive: the engines report
+    // its dual as exactly 0 and put the whole multiplier (1, the cost
+    // of the basic `u`) on the other copy, and the dense recovery (which
+    // drops the inactive copy) agrees with the rest.
+    let mut p = LpProblem::new(Sense::Minimize);
+    let u = p.add_var("u", 1.0);
+    let v = p.add_var_bounded("v", 3.0, 0.0, Some(5.0));
+    let copies: Vec<_> = (0..2)
+        .map(|_| {
+            p.add_constraint([(u, 1.0), (v, 1.0)], Relation::Eq, 2.0)
+                .unwrap()
+        })
+        .collect();
+    p.add_constraint([(v, 1.0)], Relation::Ge, 0.5).unwrap();
+    assert_eq!(assert_engines_agree(&p), Status::Optimal(3.0));
+    for engine in LpEngine::ALL {
+        let sol = p
+            .solve_with(&SimplexOptions::default().with_engine(engine))
+            .unwrap();
+        let inactive: Vec<_> = copies
+            .iter()
+            .filter(|r| sol.basis_snapshot().rows()[r.index()] == usize::MAX)
+            .collect();
+        assert_eq!(inactive.len(), 1, "{engine}: one copy must be inactive");
+        let active = copies.iter().find(|r| !inactive.contains(r)).unwrap();
+        assert_eq!(
+            sol.dual(*inactive[0]),
+            0.0,
+            "{engine}: the inactive copy must carry a dual of exactly 0: {:?}",
+            sol.duals()
+        );
+        assert!((sol.dual(*active) - 1.0).abs() < 1e-12, "{:?}", sol.duals());
     }
 }
 

@@ -13,11 +13,19 @@
 //! * seeded with an arbitrary (feasible-elsewhere, stale, or outright
 //!   garbage) basis, it still agrees with the cold solve — the stale
 //!   paths fall back to the cold two-phase method by construction.
+//!
+//! A snapshot exported by a solve carries that solve's factorization,
+//! which a warm import reuses when the basis columns are unchanged. The
+//! reuse is a memo, so the last tests pin it to be bitwise invisible: a
+//! snapshot with its factor, the same snapshot rebuilt from its public
+//! parts (what a wire import produces) and a cold solve give identical
+//! bits, and an in-place coefficient change is never answered from the
+//! stale factor.
 
 use proptest::prelude::*;
 use socbuf_lp::{
-    verify_optimality, BasisSnapshot, LpEngine, LpError, LpProblem, PreparedLp, Relation, Sense,
-    SimplexOptions,
+    verify_optimality, BasisSnapshot, LpEngine, LpError, LpProblem, LpSolution, PreparedLp,
+    Relation, Sense, SimplexOptions,
 };
 
 #[derive(Debug, Clone, PartialEq)]
@@ -138,8 +146,107 @@ fn neighbor_basis(p: &LpProblem, rhs_scale: f64) -> Option<BasisSnapshot> {
     scaled.solve().ok().map(|sol| sol.basis_snapshot())
 }
 
+/// The bits of everything a warm import's factorization feeds: values,
+/// duals, reduced costs, and the exported basis.
+type Fingerprint = (Vec<u64>, Vec<u64>, Vec<u64>, Vec<usize>);
+
+fn fingerprint(p: &LpProblem, sol: &LpSolution) -> Fingerprint {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let reduced: Vec<f64> = p.vars().map(|v| sol.reduced_cost(v)).collect();
+    (
+        bits(sol.values()),
+        bits(sol.duals()),
+        bits(&reduced),
+        sol.basis_snapshot().rows().to_vec(),
+    )
+}
+
+/// The snapshot as a wire import rebuilds it: same rows, no factor.
+fn rebuilt(s: &BasisSnapshot) -> BasisSnapshot {
+    BasisSnapshot::new(s.rows().to_vec(), s.num_cols(), s.engine())
+}
+
+/// Wyndor (max 3x + 5y; x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18) with its third
+/// row rewritten in place to 3x + 2.5y ≤ 18: the optimal basis stays
+/// the same, but two of its columns change. A warm solve from the old
+/// snapshot must refactor — the stale factor would answer x = 2 — and
+/// then match a cold solve bit for bit at the new vertex (1, 6).
+#[test]
+fn coefficient_update_is_never_answered_from_the_stale_factor() {
+    let mut p = LpProblem::new(Sense::Maximize);
+    let x = p.add_var("x", 3.0);
+    let y = p.add_var("y", 5.0);
+    p.add_constraint([(x, 1.0)], Relation::Le, 4.0).unwrap();
+    p.add_constraint([(y, 2.0)], Relation::Le, 12.0).unwrap();
+    let row = p
+        .add_constraint([(x, 3.0), (y, 2.0)], Relation::Le, 18.0)
+        .unwrap();
+    let mut prepared = PreparedLp::new(p).unwrap();
+    let opts = SimplexOptions::default();
+    let snapshot = prepared.solve_with(&opts).unwrap().basis_snapshot();
+
+    prepared.set_row_coeffs(row, &[(x, 3.0), (y, 2.5)]).unwrap();
+    let warm = prepared.solve_warm(&opts, &snapshot).unwrap();
+    let cold = prepared.solve_with(&opts).unwrap();
+    assert_eq!(warm.iterations(), 0, "the old basis stays optimal");
+    assert!((warm.value(x) - 1.0).abs() < 1e-12, "x = {}", warm.value(x));
+    assert!((warm.value(y) - 6.0).abs() < 1e-12, "y = {}", warm.value(y));
+    assert_eq!(
+        fingerprint(prepared.problem(), &warm),
+        fingerprint(prepared.problem(), &cold)
+    );
+    assert_eq!(
+        fingerprint(prepared.problem(), &warm),
+        fingerprint(
+            prepared.problem(),
+            &prepared.solve_warm(&opts, &rebuilt(&snapshot)).unwrap()
+        )
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Reusing the snapshot's factor is bitwise invisible: seeded by the
+    /// snapshot with its factor, by the same snapshot rebuilt from its
+    /// parts, or not at all (cold), the re-solve of an unchanged problem
+    /// gives identical values, duals, reduced costs and basis. After a
+    /// right-hand-side move the two warm solves still agree bit for bit
+    /// and match cold's objective.
+    #[test]
+    fn factor_reuse_is_bitwise_invisible(
+        p in feasible_lp(),
+        scale_sel in 0usize..3,
+    ) {
+        let mut prepared = PreparedLp::new(p).unwrap();
+        let opts = SimplexOptions::default();
+        let seed = prepared.solve_with(&opts).unwrap().basis_snapshot();
+        let carried = prepared.solve_warm(&opts, &seed).unwrap();
+        let from_parts = prepared.solve_warm(&opts, &rebuilt(&seed)).unwrap();
+        let cold = prepared.solve_with(&opts).unwrap();
+        let want = fingerprint(prepared.problem(), &carried);
+        prop_assert_eq!(&want, &fingerprint(prepared.problem(), &from_parts));
+        prop_assert_eq!(&want, &fingerprint(prepared.problem(), &cold));
+
+        let scale = [0.5, 0.9, 1.5][scale_sel];
+        let rows: Vec<_> = prepared.problem().row_ids().collect();
+        for r in rows {
+            let (_, _, rhs) = prepared.problem().row(r);
+            prepared.set_rhs(r, rhs * scale).unwrap();
+        }
+        let carried = prepared.solve_warm(&opts, &seed).unwrap();
+        let from_parts = prepared.solve_warm(&opts, &rebuilt(&seed)).unwrap();
+        let cold = prepared.solve_with(&opts).unwrap();
+        prop_assert_eq!(
+            fingerprint(prepared.problem(), &carried),
+            fingerprint(prepared.problem(), &from_parts)
+        );
+        prop_assert!(
+            (carried.objective() - cold.objective()).abs()
+                <= 1e-9 * (1.0 + cold.objective().abs()),
+            "warm {} vs cold {}", carried.objective(), cold.objective()
+        );
+    }
 
     /// Re-solving an unchanged feasible LP from its own optimal basis
     /// is free: zero pivots, identical answers, full certificate.

@@ -1,6 +1,9 @@
 //! Cross-crate consistency oracles: the same quantity computed through
 //! independent code paths must agree.
 
+#[path = "../crates/lp/tests/support/dense_duals.rs"]
+mod dense_duals;
+
 use socbuf::ctmdp::{relative_value_iteration, solve_constrained, CtmdpBuilder};
 use socbuf::markov::{BirthDeath, Ctmc, MM1K};
 use socbuf::sim::{simulate, Arbiter, SimConfig};
@@ -114,4 +117,39 @@ fn lp_certificates_hold_on_ctmdp_shaped_programs() {
     p.add_constraint([(x1b, 1.0)], Relation::Le, 0.1).unwrap();
     let sol = p.solve().unwrap();
     assert!(verify_optimality(&p, &sol, 1e-6).is_optimal());
+}
+
+/// The sizing LPs of the four templates, solved by every engine with the
+/// pipeline's first-rung options: the duals and reduced costs each engine
+/// reports must match a dense recovery from its own final basis to 1e-9
+/// relative, and every solution must pass the optimality certificate.
+#[test]
+fn template_duals_match_dense_recovery() {
+    use socbuf::lp::{verify_optimality, LpEngine, SimplexOptions};
+    use socbuf::soc::templates;
+
+    let cfg = SizingConfig::small();
+    for (name, arch) in [
+        ("figure1", templates::figure1()),
+        ("amba", templates::amba()),
+        ("coreconnect", templates::coreconnect()),
+        ("network_processor", templates::network_processor()),
+    ] {
+        let budget = arch.num_queues() * cfg.state_cap / 2;
+        let lp = SizingLp::build(&arch, budget, &cfg).unwrap();
+        let p = lp.problem();
+        for engine in LpEngine::ALL {
+            let options = SimplexOptions {
+                perturbation: 1e-6,
+                max_iterations: 30_000,
+                ..SimplexOptions::default().with_engine(engine)
+            };
+            let sol = p
+                .solve_with(&options)
+                .unwrap_or_else(|e| panic!("{name}/{engine}: {e}"));
+            dense_duals::assert_duals_match_dense(&format!("{name}/{engine}"), p, &sol, 1e-9);
+            let report = verify_optimality(p, &sol, 1e-5);
+            assert!(report.is_optimal(), "{name}/{engine}: {report:?}");
+        }
+    }
 }
